@@ -48,8 +48,9 @@ using caesar::Time;
 constexpr std::size_t kKeptSpans = std::size_t{1} << 19;
 /// Untraced repetitions: at least this many, whatever --seconds says.
 constexpr int kMinReps = 3;
-/// Set-up measurements per run (median reported).
-constexpr int kSetups = 31;
+/// Set-up measurements before each untraced repetition (the median of all
+/// of them is reported).
+constexpr int kSetups = 15;
 /// Calibration-kernel runs per machine-speed reading (median taken).
 constexpr int kKernelRuns = 3;
 const char* const kOutDir = ".bench_build/hostbench-traces";
@@ -132,15 +133,24 @@ struct SpeedGauge {
   std::vector<double> kernel_ns;
   std::uint64_t sink = 0;
 
-  void sample() {
+  /// Runs the kernel kKernelRuns times; returns the index of the first run.
+  std::size_t sample() {
+    const std::size_t first = kernel_ns.size();
     for (int i = 0; i < kKernelRuns; ++i) {
       kernel_ns.push_back(hostbench::calibration_kernel(sink));
     }
+    return first;
   }
   /// A host time multiplied by this reads as if measured at the reference
   /// machine speed.
   double factor() const {
     return hostbench::kReferenceKernelNs / median(kernel_ns);
+  }
+  /// The same, from the kernel runs with index in [from, to) only.
+  double factor(std::size_t from, std::size_t to) const {
+    return hostbench::kReferenceKernelNs /
+           median(std::vector<double>(kernel_ns.begin() + from,
+                                      kernel_ns.begin() + to));
   }
 };
 
@@ -397,25 +407,27 @@ h::RunReport reference_run(const h::Scenario& s, const Workload& w,
 // Modes.
 // ---------------------------------------------------------------------------
 
-int run_end_to_end(const Args& a, const Workload& w, const h::Scenario& s) {
-  SpeedGauge gauge;
-  gauge.sample();
-  // Set-up is measured first and back to back, so every sample starts from
-  // the same state: for a durable workload, an empty data dir whose earlier
-  // contents (wiped by one untimed set-up) are flushed out of the page
-  // cache, so write-back from the previous run does not stall the timing.
-  std::vector<double> setups;
+/// Times kSetups set-ups back to back. Every sample starts from the same
+/// state: for a durable workload, an empty data dir whose earlier contents
+/// (wiped by one untimed set-up) are flushed out of the page cache, so
+/// write-back from the previous repetition does not stall the timing.
+std::vector<double> setup_block(const h::Scenario& s) {
   {
     Observations untimed;
     hostbench::run_assembled(s, nullptr, untimed, /*setup_only=*/true);
     ::sync();
   }
+  std::vector<double> setups;
   for (int i = 0; i < kSetups; ++i) {
     Observations setup_obs;
     hostbench::run_assembled(s, nullptr, setup_obs, /*setup_only=*/true);
     setups.push_back(setup_obs.setup_s);
   }
+  return setups;
+}
 
+int run_end_to_end(const Args& a, const Workload& w, const h::Scenario& s) {
+  SpeedGauge gauge;
   Observations ref_obs;
   const h::RunReport ref = reference_run(s, w, ref_obs);
   const SimMetrics sm = sim_metrics(ref, s);
@@ -423,14 +435,22 @@ int run_end_to_end(const Args& a, const Workload& w, const h::Scenario& s) {
     die("fewer than 10 latency samples beyond p99.9");
   }
 
+  // Every repetition follows a block of set-ups, and both are bracketed by
+  // kernel runs and scaled by the machine speed those read. So a slowdown
+  // lasting a few seconds is corrected where it happened, and the set-up
+  // median covers the same stretch of the run as the repetitions'.
   std::vector<double> ns_per_cmd;
+  std::vector<double> scaled;
   std::vector<double> walls;
+  std::vector<std::vector<double>> setup_blocks;
+  std::vector<std::size_t> marks;  // first kernel run before each repetition
   std::uint64_t attempted = ref.submitted;
   std::uint64_t failed = ref.submitted - ref.completed;
   const auto t0 = Clock::now();
   while (static_cast<int>(ns_per_cmd.size()) < kMinReps ||
          seconds_since(t0) < a.seconds) {
-    gauge.sample();
+    marks.push_back(gauge.sample());
+    setup_blocks.push_back(setup_block(s));
     const TimedRun t = timed_run(s, w);
     verify_rep(t, ref, ref_obs);
     walls.push_back(t.wall_s);
@@ -439,16 +459,26 @@ int run_end_to_end(const Args& a, const Workload& w, const h::Scenario& s) {
     attempted += t.report.submitted;
     failed += t.report.submitted - t.report.completed;
   }
+  marks.push_back(gauge.sample());
+  std::vector<double> setups;         // unscaled
+  std::vector<double> scaled_setups;
+  for (std::size_t i = 0; i < ns_per_cmd.size(); ++i) {
+    const double f = gauge.factor(marks[i], marks[i + 1] + kKernelRuns);
+    scaled.push_back(ns_per_cmd[i] * f);
+    for (double x : setup_blocks[i]) {
+      setups.push_back(x);
+      scaled_setups.push_back(x * f);
+    }
+  }
 
   const std::vector<Metric> metrics{
-      {"host_ns_per_cmd", median(ns_per_cmd) * gauge.factor(), "ns"},
-      {"setup_s", median(setups) * gauge.factor(), "s"},
+      {"host_ns_per_cmd", median(scaled), "ns"},
+      {"setup_s", median(scaled_setups), "s"},
       {"peak_rss_mb", peak_rss_mb(), "MB"},
       {"sim_tput_cmd_s", sm.tput, "cmd/s"},
       {"sim_lat_p50_ms", sm.p50, "ms"},
       {"sim_lat_p99_ms", sm.p99, "ms"},
       {"sim_lat_p999_ms", sm.p999, "ms"},
-      {"sim_outage_ms", sm.outage_ms, "ms"},
       {"completed_pct", sm.completed_pct, "%"},
   };
 
@@ -456,6 +486,8 @@ int run_end_to_end(const Args& a, const Workload& w, const h::Scenario& s) {
   std::cout << "host: " << walls.size() << " untraced repetitions of "
             << "run_scenario + check_cluster_consistency, wall s:";
   for (double x : walls) std::cout << " " << std::setprecision(4) << x;
+  std::cout << "\nhost: scaled ns per command of each repetition:";
+  for (double x : scaled) std::cout << " " << std::setprecision(6) << x;
   std::cout << "\nhost: machine-speed factor " << std::setprecision(4)
             << gauge.factor() << " from " << gauge.kernel_ns.size()
             << " calibration-kernel runs (median " << median(gauge.kernel_ns) / 1e6
@@ -464,7 +496,12 @@ int run_end_to_end(const Args& a, const Workload& w, const h::Scenario& s) {
             << median(ns_per_cmd) << " ns, unscaled setup_s median "
             << median(setups) << " s over " << setups.size() << " set-ups\n";
   std::cout << "latency samples " << sm.samples << " (" << sm.beyond_p999
-            << " beyond p99.9); " << ref.completed << " commands completed\n";
+            << " beyond p99.9); " << ref.completed << " commands completed\n"
+            << "longest completion-free interval after warmup "
+            << std::setprecision(6) << sm.outage_ms
+            << " ms (not a metric: on the geo workloads it is the largest of "
+               "many sub-millisecond gaps and varies too much from seed to "
+               "seed to carry a bound)\n";
   print_failures(ref, ref_obs);
   std::cout << "correctness: oracle passed ("
             << (w.oracle.require_equal_sequences ? "equal sequences, "

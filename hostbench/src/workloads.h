@@ -1,4 +1,4 @@
-// The benchmark's four workloads: each is a harness::Scenario built from a
+// The benchmark's three workloads: each is a harness::Scenario built from a
 // seed, plus the facts the metrics need (where the measurement interval ends,
 // which oracle options apply). See ../README.md for why each was chosen.
 #pragma once
@@ -15,9 +15,8 @@ namespace hostbench {
 
 using caesar::Time;
 
-/// Completion-timeline resolution. The outage metric and the traced/untraced
-/// fidelity check read the timeline, so it is fine enough to give every
-/// workload a non-zero, seed-dependent longest gap.
+/// Completion-timeline resolution. The longest completion-free interval and
+/// the traced/untraced fidelity check read the timeline.
 inline constexpr Time kTimelineBucket = 10;  // us
 
 struct Workload {
@@ -36,7 +35,9 @@ const std::vector<Workload>& workloads();
 /// nullptr when `name` is not a workload.
 const Workload* find_workload(std::string_view name);
 
-/// Start of the quiesce tail: the measurement interval is [warmup, this).
+/// Start of the final quiesce tail: the measurement interval is
+/// [warmup, this). A workload may pause its load earlier with another
+/// quiesce phase; that pause lies inside the interval.
 Time quiesce_at(const caesar::harness::Scenario& s);
 
 }  // namespace hostbench
