@@ -1,7 +1,9 @@
 #include "core/caesar.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <stdexcept>
 
 #include "common/logging.h"
 #include "rsm/log_snapshot.h"
@@ -14,7 +16,7 @@ namespace {
 constexpr Time kEntriesPerUs = 16;
 
 /// Order-independent accumulator over a set of command ids (iteration order of
-/// the history map is unspecified, so the fold must commute). Used by catch-up
+/// the command table is unspecified, so the fold must commute). Used by catch-up
 /// to compare per-origin stable sets without shipping them.
 std::uint64_t mix_id(std::uint64_t h, CmdId id) {
   std::uint64_t x = static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ull;
@@ -34,7 +36,12 @@ Caesar::Caesar(rt::Env& env, DeliverFn deliver, CaesarConfig cfg,
       cq_(classic_quorum_size(env.cluster_size())),
       clock_(env.id()),
       rec_(env.id(), env.cluster_size(),
-           classic_quorum_size(env.cluster_size())) {}
+           classic_quorum_size(env.cluster_size())) {
+  if (n_ > 64) {
+    throw std::invalid_argument("CAESAR tracks replies in 64-bit masks: "
+                                "at most 64 sites");
+  }
+}
 
 void Caesar::start() {
   if (cfg_.gossip_interval_us > 0) {
@@ -58,12 +65,9 @@ void Caesar::on_recover() {
   // including decisions peers completed while we were down. Timer ids are
   // stale post-crash, so they are cleared rather than cancelled.
   std::vector<CmdId> redrive;
-  for (auto& [id, rc] : recovery_) {
-    rc.retry_timer = sim::kNoEvent;
-    redrive.push_back(id);
-  }
+  for (const auto& [id, rc] : recovery_) redrive.push_back(id);
   recovery_.clear();
-  for (auto& [id, c] : coord_) {
+  for (auto [id, c] : coord_) {
     if (c.phase == Phase::kDone) continue;
     c.timeout = sim::kNoEvent;
     redrive.push_back(id);
@@ -79,33 +83,68 @@ void Caesar::on_recover() {
 }
 
 Ballot Caesar::current_ballot(CmdId id) const {
-  auto it = ballots_.find(id);
-  return it == ballots_.end() ? 0 : it->second;
+  const CmdInfo* info = cmds_.find(id);
+  return info == nullptr ? 0 : info->joined;
 }
 
 Status Caesar::status_of(CmdId id) const {
-  auto it = history_.find(id);
-  return it == history_.end() ? Status::kNone : it->second.status;
+  const CmdInfo* info = cmds_.find(id);
+  return info == nullptr ? Status::kNone : info->status;
 }
 
 IdSet Caesar::pred_of(CmdId id) const {
-  auto it = history_.find(id);
-  return it == history_.end() ? IdSet{} : it->second.pred;
+  const CmdInfo* info = cmds_.find(id);
+  return info == nullptr ? IdSet{} : info->pred;
 }
 
 Timestamp Caesar::ts_of(CmdId id) const {
-  auto it = history_.find(id);
-  return it == history_.end() ? Timestamp{} : it->second.ts;
+  const CmdInfo* info = cmds_.find(id);
+  return info == nullptr ? Timestamp{} : info->ts;
+}
+
+bool Caesar::is_delivered(CmdId id) const {
+  const CmdInfo* info = cmds_.find(id);
+  return info != nullptr ? info->delivered : pruned_.contains(id);
+}
+
+std::size_t Caesar::history_size() const {
+  std::size_t n = 0;
+  for (const auto& [id, info] : cmds_) n += info.in_history ? 1 : 0;
+  return n;
+}
+
+std::size_t Caesar::catchup_hint_count() const {
+  std::size_t n = 0;
+  for (const auto& [id, info] : cmds_) n += info.catchup_hint ? 1 : 0;
+  return n;
 }
 
 // --------------------------------------------------------------------------
 // History / index maintenance
 // --------------------------------------------------------------------------
 
-Caesar::CmdInfo& Caesar::upsert(const rsm::Command& cmd) {
-  auto [it, inserted] = history_.try_emplace(cmd.id);
-  if (inserted || it->second.cmd.ops.empty()) it->second.cmd = cmd;
-  return it->second;
+Caesar::CmdInfo& Caesar::record(CmdId id) {
+  auto [info, inserted] = cmds_.try_emplace(id);
+  if (inserted && pruned_.contains(id)) info->delivered = true;
+  return *info;
+}
+
+Caesar::CmdInfo* Caesar::join_ballot(CmdId id, Ballot ballot) {
+  CmdInfo* info = cmds_.find(id);
+  if (info != nullptr && info->joined > ballot) return nullptr;
+  if (info == nullptr) info = &record(id);
+  info->joined = ballot;
+  return info;
+}
+
+Caesar::CmdInfo& Caesar::upsert(CmdInfo& info, const rsm::Command& cmd) {
+  // Every message about a command carries the same payload, so the first
+  // copy is the one to keep.
+  if (!info.in_history) {
+    info.cmd = cmd;
+    info.in_history = true;
+  }
+  return info;
 }
 
 void Caesar::index_erase(const rsm::Command& cmd, const Timestamp& ts) {
@@ -116,12 +155,16 @@ void Caesar::index_erase(const rsm::Command& cmd, const Timestamp& ts) {
 
 void Caesar::update_entry(CmdInfo& info, const Timestamp& ts, IdSet pred,
                           Status status, Ballot ballot, bool forced) {
-  if (info.status != Status::kNone) index_erase(info.cmd, info.ts);
+  // The index maps (key, ts) to the command, so a new status at the same
+  // timestamp (pending -> stable on every fast decision) leaves it alone.
+  const bool reindex = info.status == Status::kNone || info.ts != ts;
+  if (reindex && info.status != Status::kNone) index_erase(info.cmd, info.ts);
   info.ts = ts;
   info.pred = std::move(pred);
   info.status = status;
   info.ballot = ballot;
   info.forced = forced;
+  if (!reindex) return;
   for (const rsm::Op& op : info.cmd.ops) {
     key_index_.put(op.key, ts, info.cmd.id);
   }
@@ -187,11 +230,11 @@ Caesar::ConflictScan Caesar::scan_conflicts(const rsm::Command& cmd,
       ++scanned;
       const CmdId other = it->id;
       if (other == cmd.id) continue;
-      auto hit = history_.find(other);
-      if (hit == history_.end()) continue;
-      const CmdInfo& rival = hit->second;
-      if (rival.pred.contains(cmd.id)) continue;  // we precede it; no issue
-      if (rival.status == Status::kAccepted || rival.status == Status::kStable) {
+      const CmdInfo* rival = cmds_.find(other);
+      if (rival == nullptr) continue;
+      if (rival->pred.contains(cmd.id)) continue;  // we precede it; no issue
+      if (rival->status == Status::kAccepted ||
+          rival->status == Status::kStable) {
         result.reject = true;
       } else {
         result.blocked = true;  // still in flight: WAIT (paper §IV-A)
@@ -218,11 +261,9 @@ void Caesar::propose(rsm::Command cmd) {
 void Caesar::fast_proposal_phase(rsm::Command cmd, Ballot ballot, Timestamp ts,
                                  std::optional<IdSet> whitelist) {
   const CmdId id = cmd.id;
-  auto old = coord_.find(id);
-  if (old != coord_.end() && old->second.timeout != sim::kNoEvent) {
-    env_.cancel_timer(old->second.timeout);
-  }
-  Coordinator& c = coord_[id];
+  auto [slot, inserted] = coord_.try_emplace(id);
+  Coordinator& c = *slot;
+  if (!inserted && c.timeout != sim::kNoEvent) env_.cancel_timer(c.timeout);
   c = Coordinator{};
   c.cmd = cmd;
   c.ballot = ballot;
@@ -246,13 +287,13 @@ void Caesar::fast_proposal_phase(rsm::Command cmd, Ballot ballot, Timestamp ts,
 }
 
 void Caesar::on_fast_timeout(CmdId id) {
-  auto it = coord_.find(id);
-  if (it == coord_.end() || it->second.phase != Phase::kFastProposal) return;
-  Coordinator& c = it->second;
+  Coordinator* found = coord_.find(id);
+  if (found == nullptr || found->phase != Phase::kFastProposal) return;
+  Coordinator& c = *found;
   c.timeout_fired = true;
   c.timeout = sim::kNoEvent;
-  if (c.responded.size() >= cq_) {
-    evaluate_fast_replies(id);
+  if (static_cast<std::size_t>(std::popcount(c.responded)) >= cq_) {
+    evaluate_fast_replies(c);
   } else {
     // Not even a classic quorum yet: keep waiting (≤ f crashes guarantee CQ
     // eventually responds).
@@ -262,43 +303,37 @@ void Caesar::on_fast_timeout(CmdId id) {
   }
 }
 
-void Caesar::evaluate_fast_replies(CmdId id) {
-  auto it = coord_.find(id);
-  if (it == coord_.end()) return;
-  Coordinator& c = it->second;
+void Caesar::evaluate_fast_replies(Coordinator& c) {
   if (c.phase != Phase::kFastProposal) return;
-  const std::size_t replies = c.responded.size();
+  const auto replies = static_cast<std::size_t>(std::popcount(c.responded));
   if (replies >= fq_) {
     if (c.nacks == 0) {
       // Fast decision: a fast quorum confirmed the timestamp — predecessor
       // sets may differ, their union is what ships (paper §IV).
       c.fast = true;
       if (c.timeout != sim::kNoEvent) env_.cancel_timer(c.timeout);
-      stable_phase(id);
+      stable_phase(c);
     } else {
       if (c.timeout != sim::kNoEvent) env_.cancel_timer(c.timeout);
-      retry_phase(id);
+      retry_phase(c);
     }
   } else if (c.timeout_fired && replies >= cq_) {
     if (c.nacks > 0) {
-      retry_phase(id);
+      retry_phase(c);
     } else {
-      slow_proposal_phase(id);
+      slow_proposal_phase(c);
     }
   }
 }
 
-void Caesar::slow_proposal_phase(CmdId id) {
-  auto it = coord_.find(id);
-  assert(it != coord_.end());
-  Coordinator& c = it->second;
+void Caesar::slow_proposal_phase(Coordinator& c) {
   if (stats_ != nullptr) ++stats_->slow_proposals;
   if (!c.propose_recorded && stats_ != nullptr) {
     stats_->propose_phase.record(env_.now() - c.propose_start);
     c.propose_recorded = true;
   }
   c.phase = Phase::kSlowProposal;
-  c.responded.clear();
+  c.responded = 0;
   c.oks = 0;
   c.nacks = 0;
   if (c.timeout != sim::kNoEvent) {
@@ -315,10 +350,7 @@ void Caesar::slow_proposal_phase(CmdId id) {
   env_.broadcast(kSlowPropose, std::move(e), /*include_self=*/true);
 }
 
-void Caesar::retry_phase(CmdId id) {
-  auto it = coord_.find(id);
-  assert(it != coord_.end());
-  Coordinator& c = it->second;
+void Caesar::retry_phase(Coordinator& c) {
   if (stats_ != nullptr) ++stats_->retries;
   if (!c.propose_recorded && stats_ != nullptr) {
     stats_->propose_phase.record(env_.now() - c.propose_start);
@@ -327,7 +359,7 @@ void Caesar::retry_phase(CmdId id) {
   c.phase = Phase::kRetry;
   c.retry_start = env_.now();
   c.ts = c.max_ts;  // greatest timestamp suggested by any replier
-  c.responded.clear();
+  c.responded = 0;
   c.oks = 0;
   c.nacks = 0;
   if (c.timeout != sim::kNoEvent) {
@@ -344,10 +376,7 @@ void Caesar::retry_phase(CmdId id) {
   env_.broadcast(kRetry, std::move(e), /*include_self=*/true);
 }
 
-void Caesar::stable_phase(CmdId id) {
-  auto it = coord_.find(id);
-  assert(it != coord_.end());
-  Coordinator& c = it->second;
+void Caesar::stable_phase(Coordinator& c) {
   if (stats_ != nullptr) {
     if (!c.propose_recorded) {
       stats_->propose_phase.record(env_.now() - c.propose_start);
@@ -385,8 +414,9 @@ void Caesar::handle_fast_propose(NodeId from, net::Decoder& d) {
   // Phase-1 messages are processed only in exactly their ballot (TLA
   // BallotPre): for ballot 0 every node starts joined; recovery ballots are
   // joined via the RECOVERY message, which FIFO-precedes this proposal.
-  if (current_ballot(id) != m.ballot) return;
-  CmdInfo& info = upsert(m.cmd);
+  CmdInfo* found = cmds_.find(id);
+  if ((found == nullptr ? 0 : found->joined) != m.ballot) return;
+  CmdInfo& info = upsert(found != nullptr ? *found : record(id), m.cmd);
   if (info.status == Status::kStable) return;
   if (info.status != Status::kNone && info.ballot >= m.ballot) return;  // dup
 
@@ -412,16 +442,16 @@ void Caesar::handle_fast_propose(NodeId from, net::Decoder& d) {
     park_proposal(std::move(p), blockers);
     return;
   }
-  answer_proposal(p);
+  answer_proposal(info, p);
 }
 
 void Caesar::handle_slow_propose(NodeId from, net::Decoder& d) {
   TimestampedCmdMsg m = TimestampedCmdMsg::decode(d);
   clock_.observe(m.ts);
   const CmdId id = m.cmd.id;
-  if (current_ballot(id) > m.ballot) return;
-  ballots_[id] = m.ballot;
-  CmdInfo& info = upsert(m.cmd);
+  CmdInfo* joined = join_ballot(id, m.ballot);
+  if (joined == nullptr) return;
+  CmdInfo& info = upsert(*joined, m.cmd);
   if (info.status == Status::kStable) return;
 
   Parked p;
@@ -439,13 +469,10 @@ void Caesar::handle_slow_propose(NodeId from, net::Decoder& d) {
     park_proposal(std::move(p), blockers);
     return;
   }
-  answer_proposal(p);
+  answer_proposal(info, p);
 }
 
-void Caesar::answer_proposal(const Parked& p) {
-  auto hit = history_.find(p.cmd);
-  if (hit == history_.end()) return;
-  CmdInfo& info = hit->second;
+void Caesar::answer_proposal(CmdInfo& info, const Parked& p) {
   if (info.ballot > p.ballot) return;  // superseded by a recovery
   if (info.status == Status::kStable || info.status == Status::kAccepted) {
     return;  // already past the proposal stage; the reply is moot
@@ -500,7 +527,7 @@ void Caesar::park_proposal(Parked p, std::vector<CmdId>& blockers) {
   p.wait_epoch = 1;
   register_waiters(ticket, p, blockers);
   parked_tickets_[p.cmd].push_back(ticket);
-  parked_.emplace(ticket, std::move(p));
+  parked_[ticket] = std::move(p);
   if (stats_ != nullptr) ++stats_->waits;
 }
 
@@ -509,10 +536,9 @@ void Caesar::release_parked(std::uint64_t ticket, const Parked& p,
   if (record_wait && stats_ != nullptr) {
     stats_->wait_time.record(env_.now() - p.parked_at);
   }
-  auto tit = parked_tickets_.find(p.cmd);
-  if (tit != parked_tickets_.end()) {
-    std::erase(tit->second, ticket);
-    if (tit->second.empty()) parked_tickets_.erase(tit);
+  if (std::vector<std::uint64_t>* tickets = parked_tickets_.find(p.cmd)) {
+    std::erase(*tickets, ticket);
+    if (tickets->empty()) parked_tickets_.erase(p.cmd);
   }
   parked_.erase(ticket);
   // Stale park_waiters_ references die lazily on their blocker's wake.
@@ -521,31 +547,29 @@ void Caesar::release_parked(std::uint64_t ticket, const Parked& p,
 void Caesar::wake_dependents(CmdId id) {
   // Proposals parked for `id` itself are moot: its status just advanced past
   // the proposal stage, so the wait can no longer produce a useful vote.
-  auto tit = parked_tickets_.find(id);
-  if (tit != parked_tickets_.end()) {
-    std::vector<std::uint64_t> tickets = std::move(tit->second);
-    parked_tickets_.erase(tit);
+  if (std::vector<std::uint64_t>* own = parked_tickets_.find(id)) {
+    std::vector<std::uint64_t> tickets = std::move(*own);
+    parked_tickets_.erase(id);
     for (std::uint64_t ticket : tickets) {
-      auto pit = parked_.find(ticket);
-      if (pit != parked_.end()) release_parked(ticket, pit->second);
+      if (Parked* p = parked_.find(ticket)) release_parked(ticket, *p);
     }
   }
 
-  auto wit = park_waiters_.find(id);
-  if (wit == park_waiters_.end()) return;
+  auto* registered = park_waiters_.find(id);
+  if (registered == nullptr) return;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> waiters =
-      std::move(wit->second);
-  park_waiters_.erase(wit);
+      std::move(*registered);
+  park_waiters_.erase(id);
   for (const auto& [ticket, epoch] : waiters) {
-    auto pit = parked_.find(ticket);
-    if (pit == parked_.end() || pit->second.wait_epoch != epoch) continue;
-    Parked& p = pit->second;
-    auto hit = history_.find(p.cmd);
-    if (hit == history_.end()) {  // pruned: drop silently
+    Parked* parked = parked_.find(ticket);
+    if (parked == nullptr || parked->wait_epoch != epoch) continue;
+    Parked& p = *parked;
+    CmdInfo* found = cmds_.find(p.cmd);
+    if (found == nullptr || !found->in_history) {  // pruned: drop silently
       release_parked(ticket, p, /*record_wait=*/false);
       continue;
     }
-    CmdInfo& info = hit->second;
+    CmdInfo& info = *found;
     if (info.ballot > p.ballot || info.status == Status::kStable ||
         info.status == Status::kAccepted) {
       // The command moved on without our vote; the wait is moot.
@@ -563,7 +587,7 @@ void Caesar::wake_dependents(CmdId id) {
     }
     const Parked answered = std::move(p);
     release_parked(ticket, answered);
-    answer_proposal(answered);
+    answer_proposal(info, answered);
   }
 }
 
@@ -574,13 +598,15 @@ void Caesar::wake_dependents(CmdId id) {
 void Caesar::handle_propose_reply(NodeId from, net::Decoder& d, bool slow) {
   ProposeReplyMsg m = ProposeReplyMsg::decode(d);
   clock_.observe(m.ts);
-  auto it = coord_.find(m.cmd);
-  if (it == coord_.end()) return;
-  Coordinator& c = it->second;
+  Coordinator* found = coord_.find(m.cmd);
+  if (found == nullptr) return;
+  Coordinator& c = *found;
   if (c.ballot != m.ballot) return;
   const Phase expected = slow ? Phase::kSlowProposal : Phase::kFastProposal;
   if (c.phase != expected) return;
-  if (!c.responded.insert(from).second) return;
+  const std::uint64_t bit = 1ull << from;
+  if ((c.responded & bit) != 0) return;
+  c.responded |= bit;
   c.pred.merge(m.pred);
   env_.charge_cpu(static_cast<Time>(m.pred.size()) / kEntriesPerUs);
   if (m.ts > c.max_ts) c.max_ts = m.ts;
@@ -590,14 +616,14 @@ void Caesar::handle_propose_reply(NodeId from, net::Decoder& d, bool slow) {
     ++c.nacks;
   }
   if (!slow) {
-    evaluate_fast_replies(m.cmd);
+    evaluate_fast_replies(c);
     return;
   }
-  if (c.responded.size() == cq_) {
+  if (static_cast<std::size_t>(std::popcount(c.responded)) == cq_) {
     if (c.nacks > 0) {
-      retry_phase(m.cmd);
+      retry_phase(c);
     } else {
-      stable_phase(m.cmd);
+      stable_phase(c);
     }
   }
 }
@@ -610,9 +636,9 @@ void Caesar::handle_retry(NodeId from, net::Decoder& d) {
   TimestampedCmdMsg m = TimestampedCmdMsg::decode(d);
   clock_.observe(m.ts);
   const CmdId id = m.cmd.id;
-  if (current_ballot(id) > m.ballot) return;
-  ballots_[id] = m.ballot;
-  CmdInfo& info = upsert(m.cmd);
+  CmdInfo* joined = join_ballot(id, m.ballot);
+  if (joined == nullptr) return;
+  CmdInfo& info = upsert(*joined, m.cmd);
   if (info.status == Status::kStable) {
     // Already stable (a higher-ballot recovery finished first). Theorem 2
     // guarantees the attributes match; answer consistently if they do.
@@ -637,14 +663,18 @@ void Caesar::handle_retry(NodeId from, net::Decoder& d) {
 void Caesar::handle_retry_reply(NodeId from, net::Decoder& d) {
   RetryReplyMsg m = RetryReplyMsg::decode(d);
   clock_.observe(m.ts);
-  auto it = coord_.find(m.cmd);
-  if (it == coord_.end()) return;
-  Coordinator& c = it->second;
+  Coordinator* found = coord_.find(m.cmd);
+  if (found == nullptr) return;
+  Coordinator& c = *found;
   if (c.ballot != m.ballot || c.phase != Phase::kRetry) return;
-  if (!c.responded.insert(from).second) return;
+  const std::uint64_t bit = 1ull << from;
+  if ((c.responded & bit) != 0) return;
+  c.responded |= bit;
   c.pred.merge(m.pred);
   env_.charge_cpu(static_cast<Time>(m.pred.size()) / kEntriesPerUs);
-  if (c.responded.size() == cq_) stable_phase(m.cmd);
+  if (static_cast<std::size_t>(std::popcount(c.responded)) == cq_) {
+    stable_phase(c);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -654,67 +684,64 @@ void Caesar::handle_retry_reply(NodeId from, net::Decoder& d) {
 void Caesar::handle_stable(net::Decoder& d) {
   TimestampedCmdMsg m = TimestampedCmdMsg::decode(d);
   clock_.observe(m.ts);
-  if (current_ballot(m.cmd.id) > m.ballot) return;
-  ballots_[m.cmd.id] = m.ballot;
-  make_stable(m.cmd, m.ballot, m.ts, std::move(m.pred));
+  CmdInfo* info = join_ballot(m.cmd.id, m.ballot);
+  if (info == nullptr) return;
+  make_stable(*info, m.cmd, m.ballot, m.ts, std::move(m.pred));
 }
 
-void Caesar::make_stable(const rsm::Command& cmd, Ballot ballot,
-                         const Timestamp& ts, IdSet pred) {
-  CmdInfo& info = upsert(cmd);
+void Caesar::make_stable(CmdInfo& entry, const rsm::Command& cmd,
+                         Ballot ballot, const Timestamp& ts, IdSet pred) {
+  CmdInfo& info = upsert(entry, cmd);
   if (info.status == Status::kStable) return;  // duplicate
   update_entry(info, ts, std::move(pred), Status::kStable, ballot,
                info.forced);
-  break_loops(cmd.id);
-  try_deliver(cmd.id);
+  break_loops(info);
+  try_deliver(info);
   wake_dependents(cmd.id);
 }
 
-void Caesar::break_loops(CmdId id) {
-  CmdInfo& info = history_.at(id);
-  std::vector<CmdId> lower_stable;
-  std::vector<CmdId> higher_stable;
+void Caesar::break_loops(CmdInfo& info) {
+  lower_stable_.clear();
+  higher_stable_.clear();
   env_.charge_cpu(static_cast<Time>(info.pred.size()) / kEntriesPerUs);
   for (CmdId p : info.pred) {
-    auto it = history_.find(p);
-    if (it == history_.end() || it->second.status != Status::kStable) continue;
-    if (it->second.ts < info.ts) {
-      lower_stable.push_back(p);
+    CmdInfo* pi = cmds_.find(p);
+    if (pi == nullptr || pi->status != Status::kStable) continue;
+    if (pi->ts < info.ts) {
+      lower_stable_.push_back(pi);
     } else {
-      higher_stable.push_back(p);
+      higher_stable_.push_back(p);
     }
   }
   // A stable predecessor with a *greater* timestamp is a loop artefact:
   // drop it from our set (paper Fig 3 lines 13-14).
-  for (CmdId p : higher_stable) info.pred.erase(p);
+  for (CmdId p : higher_stable_) info.pred.erase(p);
   // Symmetrically, remove us from the predecessor sets of stable commands
   // with lower timestamps (lines 11-12); that can unblock their delivery.
-  for (CmdId p : lower_stable) {
-    CmdInfo& pi = history_.at(p);
-    if (pi.pred.erase(id)) try_deliver(p);
+  // Delivery erases no record, so the pointers stay valid.
+  for (CmdInfo* pi : lower_stable_) {
+    if (pi->pred.erase(info.cmd.id)) try_deliver(*pi);
   }
 }
 
-void Caesar::try_deliver(CmdId id) {
-  if (delivered_.count(id) != 0) return;
-  auto it = history_.find(id);
-  if (it == history_.end() || it->second.status != Status::kStable) return;
-  deliver_cascade(id);
+void Caesar::try_deliver(CmdInfo& info) {
+  if (info.delivered || info.status != Status::kStable) return;
+  deliver_cascade(info.cmd.id);
 }
 
 void Caesar::deliver_cascade(CmdId id) {
-  std::deque<CmdId> queue{id};
-  while (!queue.empty()) {
-    const CmdId cur = queue.front();
-    queue.pop_front();
-    if (delivered_.count(cur) != 0) continue;
-    auto it = history_.find(cur);
-    if (it == history_.end() || it->second.status != Status::kStable) continue;
-    CmdInfo& info = it->second;
+  cascade_.assign(1, id);
+  for (std::size_t next = 0; next < cascade_.size(); ++next) {
+    const CmdId cur = cascade_[next];
+    CmdInfo* info = cmds_.find(cur);
+    if (info == nullptr || info->delivered ||
+        info->status != Status::kStable) {
+      continue;
+    }
     // DELIVERABLE (paper Fig 3 lines 16-17): all predecessors decided.
     CmdId missing = kNoCmd;
-    for (CmdId p : info.pred) {
-      if (delivered_.count(p) == 0) {
+    for (CmdId p : info->pred) {
+      if (!is_delivered(p)) {
         missing = p;
         break;
       }
@@ -723,20 +750,20 @@ void Caesar::deliver_cascade(CmdId id) {
       delivery_waiters_[missing].push_back(cur);
       continue;
     }
-    delivered_.insert(cur);
-    deliver_(info.cmd);
-    auto cit = coord_.find(cur);
-    if (cit != coord_.end() && cit->second.phase == Phase::kDone) {
+    info->delivered = true;
+    ++delivered_count_;
+    deliver_(info->cmd);
+    Coordinator* c = coord_.find(cur);
+    if (c != nullptr && c->phase == Phase::kDone) {
       if (stats_ != nullptr) {
-        stats_->deliver_phase.record(env_.now() - cit->second.stable_sent);
+        stats_->deliver_phase.record(env_.now() - c->stable_sent);
       }
-      coord_.erase(cit);
+      coord_.erase(cur);
     }
     if (cfg_.gossip_interval_us > 0) gossip_outbox_.push_back(cur);
-    auto w = delivery_waiters_.find(cur);
-    if (w != delivery_waiters_.end()) {
-      for (CmdId next : w->second) queue.push_back(next);
-      delivery_waiters_.erase(w);
+    if (std::vector<CmdId>* waiters = delivery_waiters_.find(cur)) {
+      cascade_.insert(cascade_.end(), waiters->begin(), waiters->end());
+      delivery_waiters_.erase(cur);
     }
   }
 }
@@ -748,13 +775,16 @@ void Caesar::deliver_cascade(CmdId id) {
 void Caesar::on_node_suspected(NodeId peer) {
   rec_.note_suspected(peer);
   std::vector<CmdId> to_recover;
-  for (const auto& [id, info] : history_) {
+  for (const auto& [id, info] : cmds_) {
     if (info.status == Status::kStable || info.status == Status::kNone)
       continue;
-    const Ballot b = current_ballot(id);
+    const Ballot b = info.joined;
     const NodeId leader = ballot_round(b) == 0 ? cmd_origin(id) : ballot_node(b);
     if (leader == peer) to_recover.push_back(id);
   }
+  // One stagger draw per command in id order, so the draws do not depend on
+  // the command table's layout.
+  std::sort(to_recover.begin(), to_recover.end());
   for (CmdId id : to_recover) {
     const Time stagger = static_cast<Time>(env_.rng().uniform_int(
         static_cast<std::uint64_t>(cfg_.recovery_stagger_us) + 1));
@@ -769,11 +799,14 @@ void Caesar::on_node_recovered(NodeId peer) {
 }
 
 void Caesar::start_recovery(CmdId id) {
-  auto hit = history_.find(id);
-  if (hit == history_.end() || hit->second.status == Status::kStable) return;
-  if (recovery_.count(id) != 0) return;  // already recovering
+  const CmdInfo* info = cmds_.find(id);
+  if (info == nullptr || !info->in_history ||
+      info->status == Status::kStable) {
+    return;
+  }
+  if (recovery_.find(id) != nullptr) return;  // already recovering
   if (stats_ != nullptr) ++stats_->recoveries;
-  const Ballot nb = make_ballot(ballot_round(current_ballot(id)) + 1, env_.id());
+  const Ballot nb = make_ballot(ballot_round(info->joined) + 1, env_.id());
   RecoveryCoordinator& rc = recovery_[id];
   rc.ballot = nb;
   RecoveryMsg m{id, nb};
@@ -790,23 +823,20 @@ void Caesar::start_recovery(CmdId id) {
 
 void Caesar::handle_recovery(NodeId from, net::Decoder& d) {
   RecoveryMsg m = RecoveryMsg::decode(d);
-  if (m.ballot <= current_ballot(m.cmd)) return;
-  ballots_[m.cmd] = m.ballot;
+  CmdInfo* found = cmds_.find(m.cmd);
+  if (m.ballot <= (found == nullptr ? 0 : found->joined)) return;
+  CmdInfo& info = found != nullptr ? *found : record(m.cmd);
+  info.joined = m.ballot;
   // If we were coordinating this command under a lower ballot, stand down.
-  auto cit = coord_.find(m.cmd);
-  if (cit != coord_.end() && cit->second.ballot < m.ballot &&
-      cit->second.phase != Phase::kDone) {
-    if (cit->second.timeout != sim::kNoEvent) {
-      env_.cancel_timer(cit->second.timeout);
-    }
-    coord_.erase(cit);
+  Coordinator* c = coord_.find(m.cmd);
+  if (c != nullptr && c->ballot < m.ballot && c->phase != Phase::kDone) {
+    if (c->timeout != sim::kNoEvent) env_.cancel_timer(c->timeout);
+    coord_.erase(m.cmd);
   }
   RecoveryReplyMsg r;
   r.cmd = m.cmd;
   r.ballot = m.ballot;
-  auto hit = history_.find(m.cmd);
-  if (hit != history_.end() && hit->second.status != Status::kNone) {
-    const CmdInfo& info = hit->second;
+  if (info.status != Status::kNone) {
     r.has_info = true;
     r.payload = info.cmd;
     r.ts = info.ts;
@@ -823,19 +853,22 @@ void Caesar::handle_recovery(NodeId from, net::Decoder& d) {
 void Caesar::handle_recovery_reply(NodeId from, net::Decoder& d) {
   RecoveryReplyMsg m = RecoveryReplyMsg::decode(d);
   const CmdId id = m.cmd;
-  auto it = recovery_.find(id);
-  if (it == recovery_.end() || it->second.ballot != m.ballot) return;
-  RecoveryCoordinator& rc = it->second;
-  if (!rc.responded.insert(from).second) return;
-  rc.replies.push_back(std::move(m));
-  if (rc.responded.size() == cq_) finish_recovery(id);
+  RecoveryCoordinator* rc = recovery_.find(id);
+  if (rc == nullptr || rc->ballot != m.ballot) return;
+  const std::uint64_t bit = 1ull << from;
+  if ((rc->responded & bit) != 0) return;
+  rc->responded |= bit;
+  rc->replies.push_back(std::move(m));
+  if (static_cast<std::size_t>(std::popcount(rc->responded)) == cq_) {
+    finish_recovery(id);
+  }
 }
 
 void Caesar::finish_recovery(CmdId id) {
-  auto rit = recovery_.find(id);
-  assert(rit != recovery_.end());
-  RecoveryCoordinator rc = std::move(rit->second);
-  recovery_.erase(rit);
+  RecoveryCoordinator* found = recovery_.find(id);
+  assert(found != nullptr);
+  RecoveryCoordinator rc = std::move(*found);
+  recovery_.erase(id);
   if (rc.retry_timer != sim::kNoEvent) env_.cancel_timer(rc.retry_timer);
   const Ballot B = rc.ballot;
 
@@ -855,9 +888,9 @@ void Caesar::finish_recovery(CmdId id) {
   if (!any_info) {
     // Nobody in the quorum has seen the command (case at Fig 5 lines 26-27);
     // we only recover commands we know, so propose it afresh.
-    auto hit = history_.find(id);
-    if (hit == history_.end()) return;
-    fast_proposal_phase(hit->second.cmd, B, clock_.next(), std::nullopt);
+    const CmdInfo* info = cmds_.find(id);
+    if (info == nullptr || !info->in_history) return;
+    fast_proposal_phase(info->cmd, B, clock_.next(), std::nullopt);
     return;
   }
 
@@ -878,7 +911,7 @@ void Caesar::finish_recovery(CmdId id) {
     c.pred = r->pred;
     c.propose_start = env_.now();
     c.propose_recorded = true;
-    stable_phase(id);
+    stable_phase(c);
     return;
   }
   if (const auto* r = find_status(Status::kAccepted)) {
@@ -891,7 +924,7 @@ void Caesar::finish_recovery(CmdId id) {
     c.max_ts = r->ts;
     c.pred = r->pred;
     c.propose_start = env_.now();
-    retry_phase(id);
+    retry_phase(c);
     return;
   }
   if (find_status(Status::kRejected) != nullptr) {
@@ -909,7 +942,7 @@ void Caesar::finish_recovery(CmdId id) {
     c.max_ts = r->ts;
     c.pred = r->pred;
     c.propose_start = env_.now();
-    slow_proposal_phase(id);
+    slow_proposal_phase(c);
     return;
   }
 
@@ -964,32 +997,23 @@ void Caesar::finish_recovery(CmdId id) {
 
 void Caesar::catchup_tick() {
   env_.set_timer(cfg_.catchup_interval_us, [this] { catchup_tick(); });
-  // Drop hints that resolved through normal traffic since the last tick.
-  for (auto it = catchup_hints_.begin(); it != catchup_hints_.end();) {
-    if (status_of(*it) == Status::kStable || delivered_.count(*it) != 0) {
-      it = catchup_hints_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   // Backlog evidence: a peer-delivered command not stable here (gossip
   // hint), a stable command blocked on an undelivered predecessor, or an
   // in-flight entry that never resolves. Any of these together with a
   // stalled delivered count means this node is missing decisions.
-  bool backlog = !catchup_hints_.empty() || !delivery_waiters_.empty();
-  if (!backlog) {
-    for (const auto& [id, info] : history_) {
-      if (info.status != Status::kNone && info.status != Status::kStable) {
-        backlog = true;
-        break;
-      }
-      if (info.status == Status::kStable && delivered_.count(id) == 0) {
-        backlog = true;
-        break;
-      }
+  bool backlog = !delivery_waiters_.empty();
+  for (auto [id, info] : cmds_) {
+    // Drop hints that resolved through normal traffic since the last tick.
+    if (info.status == Status::kStable || info.delivered) {
+      info.catchup_hint = false;
+    }
+    if (info.catchup_hint ||
+        (info.status != Status::kNone && info.status != Status::kStable) ||
+        (info.status == Status::kStable && !info.delivered)) {
+      backlog = true;
     }
   }
-  if (rec_.watchdog_tick(delivered_.size(), backlog)) request_catchup();
+  if (rec_.watchdog_tick(delivered_count_, backlog)) request_catchup();
 }
 
 void Caesar::request_catchup() {
@@ -1003,22 +1027,19 @@ void Caesar::request_catchup() {
   std::vector<std::uint64_t> bound(n_, 0);
   std::vector<std::uint64_t> hash(n_, 0);
   std::vector<CmdId> wanted;
-  for (const auto& [id, info] : history_) {
+  for (const auto& [id, info] : cmds_) {
     if (info.status == Status::kStable) {
       const NodeId o = cmd_origin(id);
       if (o < n_) {
         bound[o] = std::max(bound[o], cmd_seq(id) + 1);
         hash[o] = mix_id(hash[o], id);  // bound = max+1, so all stables count
       }
-    } else if (info.status != Status::kNone) {
-      wanted.push_back(id);  // in flight here; may be stable elsewhere
+    } else if (info.status != Status::kNone || info.catchup_hint) {
+      wanted.push_back(id);  // in flight here or hinted; may be stable elsewhere
     }
   }
   for (const auto& [missing, waiters] : delivery_waiters_) {
     if (status_of(missing) != Status::kStable) wanted.push_back(missing);
-  }
-  for (CmdId hint : catchup_hints_) {
-    if (status_of(hint) != Status::kStable) wanted.push_back(hint);
   }
   std::sort(wanted.begin(), wanted.end());
   wanted.erase(std::unique(wanted.begin(), wanted.end()), wanted.end());
@@ -1045,31 +1066,29 @@ void Caesar::on_catchup_request(NodeId from, net::Decoder& d) {
   for (std::uint64_t i = 0; i < norig; ++i) their_hash[i] = d.get_u64();
   const std::uint64_t nwant = d.get_varint();
   std::vector<CmdId> ship;
-  std::unordered_set<CmdId> seen;
+  IdHashSet seen;
   for (std::uint64_t i = 0; i < nwant; ++i) {
     const CmdId w = d.get_varint();
-    if (status_of(w) == Status::kStable && seen.insert(w).second) {
-      ship.push_back(w);
-    }
+    if (status_of(w) == Status::kStable && seen.insert(w)) ship.push_back(w);
   }
   // Local view of each requester-bounded stable set; a hash mismatch means
   // the requester has a hole below its own bound (or is ahead of us — then
   // the re-shipped column replays as no-ops and produces no news).
   std::vector<std::uint64_t> our_hash(norig, 0);
-  for (const auto& [id, info] : history_) {
+  for (const auto& [id, info] : cmds_) {
     if (info.status != Status::kStable) continue;
     const NodeId o = cmd_origin(id);
     if (o < norig && cmd_seq(id) < bound[o]) {
       our_hash[o] = mix_id(our_hash[o], id);
     }
   }
-  for (const auto& [id, info] : history_) {
+  for (const auto& [id, info] : cmds_) {
     if (info.status != Status::kStable) continue;
     const NodeId o = cmd_origin(id);
     if (o >= norig) continue;
     const bool above_bound = cmd_seq(id) >= bound[o];
     const bool hole_suspect = !above_bound && our_hash[o] != their_hash[o];
-    if ((above_bound || hole_suspect) && seen.insert(id).second) {
+    if ((above_bound || hole_suspect) && seen.insert(id)) {
       ship.push_back(id);
     }
   }
@@ -1085,7 +1104,7 @@ void Caesar::on_catchup_request(NodeId from, net::Decoder& d) {
     e.put_varint(round);
     e.put_varint(count);
     for (std::size_t k = 0; k < count; ++k) {
-      const CmdInfo& info = history_.at(ship[pos + k]);
+      const CmdInfo& info = *cmds_.find(ship[pos + k]);
       info.cmd.encode(e);
       e.put_u64(info.ballot);
       info.ts.encode(e);
@@ -1105,21 +1124,20 @@ void Caesar::on_catchup_reply(NodeId /*from*/, net::Decoder& d) {
     TimestampedCmdMsg m = TimestampedCmdMsg::decode(d);
     clock_.observe(m.ts);
     const CmdId id = m.cmd.id;
-    if (m.ballot > current_ballot(id)) ballots_[id] = m.ballot;
-    if (status_of(id) != Status::kStable) {
+    CmdInfo& info = record(id);
+    if (m.ballot > info.joined) info.joined = m.ballot;
+    if (info.status != Status::kStable) {
       rec_.note_catchup_news();
       if (stats_ != nullptr) ++stats_->catchup_commands;
     }
     // A coordinator of ours still in flight for this command is obsolete —
     // the decision is in; it must not push a dead ballot any further.
-    auto cit = coord_.find(id);
-    if (cit != coord_.end() && cit->second.phase != Phase::kDone) {
-      if (cit->second.timeout != sim::kNoEvent) {
-        env_.cancel_timer(cit->second.timeout);
-      }
-      coord_.erase(cit);
+    Coordinator* c = coord_.find(id);
+    if (c != nullptr && c->phase != Phase::kDone) {
+      if (c->timeout != sim::kNoEvent) env_.cancel_timer(c->timeout);
+      coord_.erase(id);
     }
-    make_stable(m.cmd, m.ballot, m.ts, std::move(m.pred));
+    make_stable(info, m.cmd, m.ballot, m.ts, std::move(m.pred));
   }
   if (d.get_u8() != 0 && round == rec_.catchup_round()) {
     // Clears the latch only if the round in flight taught us nothing new;
@@ -1142,7 +1160,8 @@ void Caesar::gossip_tick() {
     m.encode(e);
     env_.broadcast(kGossip, std::move(e), /*include_self=*/false);
     for (std::uint64_t id : m.delivered) {
-      if (++delivered_acks_[id] == n_) maybe_prune(id);
+      CmdInfo& info = record(id);
+      if (++info.acks == n_) maybe_prune(id, info);
     }
   }
   env_.set_timer(cfg_.gossip_interval_us, [this] { gossip_tick(); });
@@ -1151,24 +1170,26 @@ void Caesar::gossip_tick() {
 void Caesar::handle_gossip(NodeId /*from*/, net::Decoder& d) {
   GossipMsg m = GossipMsg::decode(d);
   for (std::uint64_t id : m.delivered) {
-    if (++delivered_acks_[id] == n_) maybe_prune(id);
-    // The sender delivered this command; if it is not stable here, its
-    // STABLE never arrived (e.g. the broadcast died with a crashing sender)
-    // and nothing local may ever reference it — flag it for catch-up.
-    if (status_of(id) != Status::kStable) catchup_hints_.insert(id);
+    CmdInfo& info = record(id);
+    if (++info.acks == n_ && maybe_prune(id, info)) continue;
+    // The sender delivered this command; if it is neither delivered nor
+    // stable here, its STABLE never arrived (e.g. the broadcast died with a
+    // crashing sender) and nothing local may ever reference it — flag it
+    // for catch-up.
+    if (!info.delivered && info.status != Status::kStable) {
+      info.catchup_hint = true;
+    }
   }
 }
 
-void Caesar::maybe_prune(CmdId id) {
+bool Caesar::maybe_prune(CmdId id, CmdInfo& info) {
   // Delivered on every node: no future proposal can need it as a
   // predecessor, and nobody will ask about it again (paper §V-B).
-  if (delivered_.count(id) == 0) return;
-  auto it = history_.find(id);
-  if (it == history_.end()) return;
-  index_erase(it->second.cmd, it->second.ts);
-  history_.erase(it);
-  ballots_.erase(id);
-  delivered_acks_.erase(id);
+  if (!info.delivered || !info.in_history) return false;
+  index_erase(info.cmd, info.ts);
+  pruned_.insert(id);
+  cmds_.erase(id);
+  return true;
 }
 
 // --------------------------------------------------------------------------

@@ -22,13 +22,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/caesar_messages.h"
+#include "core/id_table.h"
 #include "core/key_index.h"
 #include "core/timestamp.h"
 #include "runtime/protocol.h"
@@ -85,12 +83,19 @@ class Caesar final : public rt::Protocol {
   /// Current predecessor set of a command in the history.
   IdSet pred_of(CmdId id) const;
   Timestamp ts_of(CmdId id) const;
-  std::size_t history_size() const { return history_.size(); }
-  bool is_delivered(CmdId id) const { return delivered_.count(id) != 0; }
+  /// Commands in the history H (pruned ones excluded).
+  std::size_t history_size() const;
+  /// Delivered here, whether or not GC has pruned the command since.
+  bool is_delivered(CmdId id) const;
   std::size_t parked_count() const { return parked_.size(); }
+  /// Commands flagged for catch-up by peers' delivered-id gossip.
+  std::size_t catchup_hint_count() const;
 
  private:
-  // ---- history ------------------------------------------------------------
+  // ---- per-command record --------------------------------------------------
+  /// Everything this node keeps about one command until GC prunes it: the
+  /// history tuple of paper §V-A, the ballot joined for it, its delivery and
+  /// the GC/catch-up bookkeeping. One IdTable probe finds all of it.
   struct CmdInfo {
     rsm::Command cmd;
     Timestamp ts;
@@ -98,6 +103,18 @@ class Caesar final : public rt::Protocol {
     Status status = Status::kNone;
     Ballot ballot = 0;   // ballot under which this tuple was written
     bool forced = false; // predecessors forced by a recovery whitelist
+    /// The payload is known, i.e. H holds the command (maybe still kNone).
+    /// A record can exist without it, holding only a joined ballot, gossip
+    /// acks or a catch-up hint.
+    bool in_history = false;
+    bool delivered = false;
+    /// A peer delivered the command while it was not stable here: proof of a
+    /// decision this node missed (e.g. a STABLE broadcast cut down mid-flight
+    /// by the sender's crash). Counts as watchdog backlog and rides the
+    /// catch-up wanted list until the command is stable here.
+    bool catchup_hint = false;
+    std::uint32_t acks = 0;  // delivered-id gossip acks, own included
+    Ballot joined = 0;       // highest ballot this node joined for it
   };
 
   // ---- leader-side coordination --------------------------------------------
@@ -108,7 +125,7 @@ class Caesar final : public rt::Protocol {
     Timestamp ts;
     IdSet pred;             // accumulated union of reply predecessor sets
     Phase phase = Phase::kFastProposal;
-    std::unordered_set<NodeId> responded;
+    std::uint64_t responded = 0;  // one bit per replier (at most 64 sites)
     std::uint32_t oks = 0;
     std::uint32_t nacks = 0;
     Timestamp max_ts;       // max timestamp over all replies (retry input)
@@ -126,7 +143,7 @@ class Caesar final : public rt::Protocol {
   struct RecoveryCoordinator {
     Ballot ballot = 0;
     std::vector<RecoveryReplyMsg> replies;
-    std::unordered_set<NodeId> responded;
+    std::uint64_t responded = 0;  // one bit per replier
     sim::EventId retry_timer = sim::kNoEvent;
   };
 
@@ -158,10 +175,10 @@ class Caesar final : public rt::Protocol {
   // ---- leader phases (paper Fig 4, left column) ------------------------------
   void fast_proposal_phase(rsm::Command cmd, Ballot ballot, Timestamp ts,
                            std::optional<IdSet> whitelist);
-  void slow_proposal_phase(CmdId id);
-  void retry_phase(CmdId id);
-  void stable_phase(CmdId id);
-  void evaluate_fast_replies(CmdId id);
+  void slow_proposal_phase(Coordinator& c);
+  void retry_phase(Coordinator& c);
+  void stable_phase(Coordinator& c);
+  void evaluate_fast_replies(Coordinator& c);
   void on_fast_timeout(CmdId id);
 
   // ---- acceptor helpers -------------------------------------------------------
@@ -181,8 +198,9 @@ class Caesar final : public rt::Protocol {
   };
   ConflictScan scan_conflicts(const rsm::Command& cmd, const Timestamp& ts,
                               std::vector<CmdId>* blockers = nullptr);
-  /// Finishes a proposal that is (no longer) blocked: replies OK or NACK.
-  void answer_proposal(const Parked& p);
+  /// Finishes a proposal for `info` that is (no longer) blocked: replies OK
+  /// or NACK.
+  void answer_proposal(CmdInfo& info, const Parked& p);
   /// Parks `p` and registers it in the waiter index under its blockers
   /// (deduplicated in place).
   void park_proposal(Parked p, std::vector<CmdId>& blockers);
@@ -199,7 +217,15 @@ class Caesar final : public rt::Protocol {
                       bool record_wait = true);
 
   // ---- history / index maintenance ------------------------------------------
-  CmdInfo& upsert(const rsm::Command& cmd);
+  /// The record of `id`, created empty when absent. A record re-created for
+  /// a pruned id starts out delivered.
+  CmdInfo& record(CmdId id);
+  /// The ballot check the phase-2, retry and stable handlers start with:
+  /// nullptr when a higher ballot was joined for `id`, else its record with
+  /// `ballot` joined.
+  CmdInfo* join_ballot(CmdId id, Ballot ballot);
+  /// Enters `cmd` into H through its record.
+  CmdInfo& upsert(CmdInfo& info, const rsm::Command& cmd);
   /// H.UPDATE from the paper: replaces the tuple and maintains the per-key
   /// timestamp index.
   void update_entry(CmdInfo& info, const Timestamp& ts, IdSet pred,
@@ -207,10 +233,10 @@ class Caesar final : public rt::Protocol {
   void index_erase(const rsm::Command& cmd, const Timestamp& ts);
 
   // ---- stable / delivery ------------------------------------------------------
-  void make_stable(const rsm::Command& cmd, Ballot ballot, const Timestamp& ts,
-                   IdSet pred);
-  void break_loops(CmdId id);
-  void try_deliver(CmdId id);
+  void make_stable(CmdInfo& info, const rsm::Command& cmd, Ballot ballot,
+                   const Timestamp& ts, IdSet pred);
+  void break_loops(CmdInfo& info);
+  void try_deliver(CmdInfo& info);
   void deliver_cascade(CmdId id);
 
   // ---- recovery ---------------------------------------------------------------
@@ -229,7 +255,8 @@ class Caesar final : public rt::Protocol {
 
   // ---- gc ----------------------------------------------------------------------
   void gossip_tick();
-  void maybe_prune(CmdId id);
+  /// Prunes a command delivered on every node; true when it did.
+  bool maybe_prune(CmdId id, CmdInfo& info);
 
   Ballot current_ballot(CmdId id) const;
 
@@ -240,37 +267,45 @@ class Caesar final : public rt::Protocol {
   std::size_t cq_;
   TimestampClock clock_;
 
-  std::unordered_map<CmdId, CmdInfo> history_;
-  std::unordered_map<CmdId, Ballot> ballots_;
+  /// One record per command this node holds state for (see CmdInfo).
+  IdTable<CmdInfo> cmds_;
+  /// Ids GC pruned: delivered on every node, record gone. A late STABLE may
+  /// still name one as a predecessor, and it must read as delivered.
+  IdHashSet pruned_;
+  std::uint64_t delivered_count_ = 0;
   /// Per-key conflict index ordered by timestamp — the paper's red-black
   /// tree of conflicting commands (§VI), flattened to sorted vectors.
   KeyIndex key_index_;
 
-  std::unordered_map<CmdId, Coordinator> coord_;
-  std::unordered_map<CmdId, RecoveryCoordinator> recovery_;
+  IdTable<Coordinator> coord_;
+  IdTable<RecoveryCoordinator> recovery_;
 
   // --- wait-condition waiter index ---
   // Parked proposals keyed by a monotone ticket; per-blocker wakeup lists
   // mirror delivery_waiters_: a status change re-evaluates only the
   // proposals it can actually unblock, not the whole parked set.
   std::uint64_t next_park_ticket_ = 1;
-  std::unordered_map<std::uint64_t, Parked> parked_;
+  IdTable<Parked> parked_;
   /// blocker cmd -> (ticket, wait_epoch) of proposals waiting on it. Entries
   /// whose epoch no longer matches the parked entry are stale (the proposal
   /// re-registered or was released) and are skipped on wake.
-  std::unordered_map<CmdId, std::vector<std::pair<std::uint64_t, std::uint64_t>>>
-      park_waiters_;
+  IdTable<std::vector<std::pair<std::uint64_t, std::uint64_t>>> park_waiters_;
   /// cmd -> tickets parked for that cmd itself (released as moot when the
   /// cmd's own status advances past the proposal stage).
-  std::unordered_map<CmdId, std::vector<std::uint64_t>> parked_tickets_;
+  IdTable<std::vector<std::uint64_t>> parked_tickets_;
 
-  std::unordered_set<CmdId> delivered_;
   /// stable-but-blocked commands waiting for `key` to be delivered.
-  std::unordered_map<CmdId, std::vector<CmdId>> delivery_waiters_;
+  IdTable<std::vector<CmdId>> delivery_waiters_;
+  /// Work lists of deliver_cascade and break_loops, kept across calls so a
+  /// STABLE allocates nothing here. Neither call re-enters itself: delivery
+  /// hands commands to the runtime, which queues any new proposal behind
+  /// the CPU.
+  std::vector<CmdId> cascade_;
+  std::vector<CmdInfo*> lower_stable_;
+  std::vector<CmdId> higher_stable_;
 
   // --- gc state ---
   std::vector<CmdId> gossip_outbox_;
-  std::unordered_map<CmdId, std::uint32_t> delivered_acks_;
 
   // --- catch-up state ---
   /// Shared recovery machinery: failure-detector view, catch-up rotor and
@@ -282,11 +317,6 @@ class Caesar final : public rt::Protocol {
   /// the watchdog keeps re-requesting until the backlog drains, so the cap
   /// only bounds one round, not total transfer.
   static constexpr std::size_t kCatchupMaxWanted = 512;
-  /// Delivered ids gossiped by peers that are not stable here: each is proof
-  /// of a decision this node missed (e.g. a STABLE broadcast cut down
-  /// mid-flight by the sender's crash), so they count as watchdog backlog
-  /// and ride the catch-up wanted list. Pruned lazily once stable locally.
-  std::unordered_set<CmdId> catchup_hints_;
 };
 
 }  // namespace caesar::core

@@ -6,13 +6,14 @@
 // wait-condition scan walks everything above it) far more often than they are
 // point-mutated, so a contiguous sorted vector beats a node-based std::map —
 // scans are cache-linear and insert/erase are memmoves within one allocation.
+// The lists themselves sit in an IdTable, one probe per key.
 #pragma once
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.h"
+#include "core/id_table.h"
 #include "core/timestamp.h"
 
 namespace caesar::core {
@@ -28,7 +29,7 @@ class KeyIndex {
 
   /// Inserts or reassigns the entry at `ts`.
   void put(Key key, const Timestamp& ts, CmdId id) {
-    EntryList& list = map_[key];
+    EntryList& list = key == 0 ? key0_ : lists_[key];
     auto it = lower_bound(list, ts);
     if (it != list.end() && it->ts == ts) {
       it->id = id;
@@ -39,19 +40,18 @@ class KeyIndex {
 
   /// Removes the entry at `ts`; drops the key when its list empties.
   void erase(Key key, const Timestamp& ts) {
-    auto mi = map_.find(key);
-    if (mi == map_.end()) return;
-    EntryList& list = mi->second;
-    auto it = lower_bound(list, ts);
-    if (it == list.end() || it->ts != ts) return;
-    list.erase(it);
-    if (list.empty()) map_.erase(mi);
+    EntryList* list = key == 0 ? &key0_ : lists_.find(key);
+    if (list == nullptr) return;
+    auto it = lower_bound(*list, ts);
+    if (it == list->end() || it->ts != ts) return;
+    list->erase(it);
+    if (list->empty() && key != 0) lists_.erase(key);
   }
 
   /// The key's entries, nullptr when the key is unindexed. Never empty.
   const EntryList* find(Key key) const {
-    auto it = map_.find(key);
-    return it == map_.end() ? nullptr : &it->second;
+    if (key == 0) return key0_.empty() ? nullptr : &key0_;
+    return lists_.find(key);
   }
 
   /// First entry with ts >= bound (use for "everything below bound" scans).
@@ -70,8 +70,10 @@ class KeyIndex {
         [](const Timestamp& t, const Entry& e) { return t < e.ts; });
   }
 
-  std::size_t key_count() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
+  std::size_t key_count() const {
+    return lists_.size() + (key0_.empty() ? 0 : 1);
+  }
+  bool empty() const { return key_count() == 0; }
 
  private:
   static EntryList::iterator lower_bound(EntryList& list,
@@ -81,7 +83,10 @@ class KeyIndex {
         [](const Entry& e, const Timestamp& t) { return e.ts < t; });
   }
 
-  std::unordered_map<Key, EntryList> map_;
+  /// IdTable reserves id 0 for free cells, and key 0 is the first key of
+  /// every shared key pool, so its list lives outside the table.
+  EntryList key0_;
+  IdTable<EntryList> lists_;
 };
 
 }  // namespace caesar::core

@@ -470,13 +470,19 @@ void validate_scenario(const Scenario& s) {
          "node sweeps still-pending accept entries before its peers' "
          "fd-retraction re-ACCEPTs arrive");
   }
-  // Mencius, Multi-Paxos and Clock-RSM count quorum acks (and track
-  // suspected/revoked peers) in 64-bit node bitmasks.
+  // Mencius, Multi-Paxos and Clock-RSM count quorum acks in 64-bit node
+  // bitmasks, CAESAR counts replies in them too, and every protocol on
+  // rt::RecoveryDriver (all of these plus EPaxos) tracks suspected peers in
+  // one.
   if ((s.protocol == ProtocolKind::kMencius ||
        s.protocol == ProtocolKind::kMultiPaxos ||
-       s.protocol == ProtocolKind::kClockRsm) &&
+       s.protocol == ProtocolKind::kClockRsm ||
+       s.protocol == ProtocolKind::kCaesar ||
+       s.protocol == ProtocolKind::kEPaxos) &&
       n > 64) {
-    fail(s, "Mencius/MultiPaxos/ClockRSM support at most 64 sites (bitmask)");
+    fail(s,
+         "Mencius/MultiPaxos/ClockRSM/CAESAR/EPaxos support at most 64 sites "
+         "(bitmask)");
   }
   if (s.protocol == ProtocolKind::kCaesar &&
       s.caesar.fast_quorum_override > n) {

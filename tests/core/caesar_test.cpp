@@ -430,6 +430,54 @@ TEST(CaesarTest, GcKeepsDeliveredSetForDeliverability) {
   f.expect_consistent();
 }
 
+TEST(CaesarTest, StableNamingAPrunedPredecessorDelivers) {
+  // GC drops the record of a command delivered everywhere, but a late STABLE
+  // may still name it as a predecessor. The pruned id must read as
+  // delivered, or the late command would wait for it forever.
+  CaesarConfig cfg;
+  cfg.gossip_interval_us = 20 * kMs;
+  Fixture f(5, cfg);
+  f.submit(0, 3);
+  f.sim.run_until(500 * kMs);
+  const CmdId pruned = f.logs[0].sequence().at(0);
+  ASSERT_TRUE(f.caesar(0).is_delivered(pruned));
+  ASSERT_EQ(f.caesar(0).history_size(), 0u) << "not pruned yet";
+
+  TimestampedCmdMsg late;
+  late.cmd.id = make_cmd_id(1, 1000);
+  late.cmd.origin = 1;
+  late.cmd.ops.push_back(rsm::Op{3, make_req_id(1, 1000), 1000});
+  late.ts = Timestamp{1'000'000, 1};
+  late.pred = IdSet{pruned};
+  rt::Node& sender = f.cluster->node(1);
+  net::Encoder e = sender.encoder();
+  late.encode(e);
+  sender.send(0, kStable, std::move(e));
+  f.sim.run_until(1 * kSec);
+  EXPECT_TRUE(f.caesar(0).is_delivered(late.cmd.id));
+  ASSERT_EQ(f.logs[0].size(), 2u);
+  EXPECT_EQ(f.logs[0].sequence().back(), late.cmd.id);
+}
+
+TEST(CaesarTest, GossipLeavesNoCatchupHintsOnceQuiesced) {
+  // A command's last delivered-id ack often arrives by gossip and prunes it
+  // on the spot. A command delivered here is no evidence of a missed
+  // decision, so with catch-up off (nothing drains hints) none may remain.
+  CaesarConfig cfg;
+  cfg.gossip_interval_us = 20 * kMs;
+  Fixture f(5, cfg);
+  for (int i = 0; i < 60; ++i) {
+    f.submit(static_cast<NodeId>(i % 5), static_cast<Key>(i % 3));
+  }
+  f.sim.run_until(2 * kSec);
+  for (NodeId i = 0; i < 5; ++i) {
+    ASSERT_EQ(f.logs[i].size(), 60u);
+    EXPECT_EQ(f.caesar(i).catchup_hint_count(), 0u) << "node " << i;
+    EXPECT_EQ(f.caesar(i).history_size(), 0u) << "node " << i;
+  }
+  f.expect_consistent();
+}
+
 TEST(CaesarTest, RandomizedSeedSweepInvariants) {
   // Property test: across seeds and conflict levels, every run must satisfy
   // consistency, Theorem 1 and Theorem 2.

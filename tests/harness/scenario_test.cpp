@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "harness/consistency_checker.h"
 #include "harness/experiment.h"
@@ -106,12 +107,23 @@ TEST(ScenarioValidationTest, RejectsMalformedScenarios) {
                    .fd_timeout(5 * kSec)
                    .build(),
                std::invalid_argument);
-  // Ack bitmasks cap Mencius/MultiPaxos topologies at 64 sites.
-  EXPECT_THROW(ScenarioBuilder("t")
-                   .protocol(ProtocolKind::kMencius)
-                   .topology(net::Topology::lan(65))
-                   .build(),
-               std::invalid_argument);
+  // Ack and peer bitmasks cap these protocols' topologies at 64 sites.
+  for (ProtocolKind p : {ProtocolKind::kMencius, ProtocolKind::kMultiPaxos,
+                         ProtocolKind::kClockRsm, ProtocolKind::kCaesar,
+                         ProtocolKind::kEPaxos}) {
+    try {
+      ScenarioBuilder("t").protocol(p).topology(net::Topology::lan(65)).build();
+      ADD_FAILURE() << to_string(p) << " accepted 65 sites";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("at most 64 sites"),
+                std::string::npos)
+          << to_string(p) << ": " << e.what();
+    }
+  }
+  EXPECT_NO_THROW(ScenarioBuilder("t")
+                      .protocol(ProtocolKind::kCaesar)
+                      .topology(net::Topology::lan(64))
+                      .build());
 }
 
 TEST(ScenarioValidationTest, HandBuiltScenarioPhasesValidateInAnyOrder) {
