@@ -4,6 +4,13 @@
 // queue, the flat key index and the wait-condition waiter index.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <ostream>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "harness/report.h"
 #include "harness/run_report.h"
 #include "harness/scenario.h"
@@ -142,6 +149,185 @@ TEST(DeterminismTest, DeadNodeSameSeedSameJson) {
     EXPECT_NE(a.find("\"revocations\":"), std::string::npos);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Pinned report digests
+// ---------------------------------------------------------------------------
+//
+// The same-seed tests above compare two runs of one build, so they cannot see
+// a change between commits. These pin the report itself: each run's JSON,
+// build string blanked, hashes to a committed FNV-1a 64-bit digest. On a
+// mismatch the test prints the new digest; an intended change to simulated
+// results updates the table and says why in CHANGES.md.
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// Small sharded configurations on a 3-site LAN, selected by name.
+Scenario sharded_pin(const std::string& name) {
+  wl::WorkloadConfig w;
+  w.key_dist.dist = wl::KeyDist::kUniform;
+  w.key_dist.keyspace = 1ull << 10;
+  w.reconnect_delay_us = 500 * kMs;
+  ScenarioBuilder b(name);
+  b.protocol(ProtocolKind::kMencius)
+      .topology(net::Topology::lan(3))
+      .workload(w)
+      .closed_loop(0, 6)
+      .duration(3 * kSec)
+      .warmup(500 * kMs)
+      .seed(5);
+  if (name == "sharded-hash2") {
+    b.shards(2);
+  } else if (name == "sharded-hash4") {
+    b.shards(4);
+  } else if (name == "sharded-range3-faults") {
+    b.shards(3, shard::Partition::kRange)
+        .partition_in_group(0, 0, 1, 1 * kSec)
+        .heal_in_group(0, 0, 1, 2 * kSec)
+        .crash_in_group(2, 2, 1500 * kMs)
+        .recover_in_group(2, 2, 3 * kSec)
+        .quiesce(4 * kSec)
+        .duration(5 * kSec);
+  } else if (name == "sharded-group-then-site-crash") {
+    // Site 1's group-1 traffic fails over to site 2, which then dies whole:
+    // the router hands the diverted requests back to their clients.
+    b.shards(2)
+        .crash_in_group(1, 1, 1 * kSec)
+        .crash(2, 2 * kSec)
+        .recover_in_group(1, 1, 3 * kSec)
+        .recover(2, 4 * kSec)
+        .quiesce(5 * kSec)
+        .duration(6 * kSec);
+  } else {
+    ADD_FAILURE() << "unknown sharded pin " << name;
+  }
+  return b.build();
+}
+
+struct Pin {
+  const char* scenario;  // registered scenario, or a sharded_pin() name
+  ProtocolKind protocol;
+  std::uint64_t digest;
+};
+
+std::string pin_name(const Pin& p) {
+  std::string out = p.scenario;
+  out += "_";
+  out += to_string(p.protocol);
+  for (char& c : out) {
+    if (c == '-') c = '_';
+  }
+  return out;
+}
+
+void PrintTo(const Pin& p, std::ostream* os) { *os << pin_name(p); }
+
+class PinnedReportTest : public ::testing::TestWithParam<Pin> {};
+
+TEST_P(PinnedReportTest, DigestMatches) {
+  const Pin& p = GetParam();
+  Scenario s = has_scenario(p.scenario) ? make_scenario(p.scenario)
+                                        : sharded_pin(p.scenario);
+  s.protocol = p.protocol;
+  if (s.storage.enabled()) {
+    // Own data dir per run: ctest runs tests in parallel.
+    s.storage.data_dir = "caesar-data/pin-" + pin_name(p);
+  }
+  RunReport r = run_scenario(s);
+  r.provenance.build = "";
+  const std::uint64_t digest = fnv1a64(to_json(r));
+  char hex[32];
+  std::snprintf(hex, sizeof hex, "0x%016llx",
+                static_cast<unsigned long long>(digest));
+  EXPECT_EQ(digest, p.digest) << pin_name(p) << " now digests to " << hex;
+}
+
+constexpr ProtocolKind kCa = ProtocolKind::kCaesar;
+constexpr ProtocolKind kEp = ProtocolKind::kEPaxos;
+constexpr ProtocolKind kM2 = ProtocolKind::kM2Paxos;
+constexpr ProtocolKind kMe = ProtocolKind::kMencius;
+constexpr ProtocolKind kMp = ProtocolKind::kMultiPaxos;
+constexpr ProtocolKind kCr = ProtocolKind::kClockRsm;
+
+const Pin kPins[] = {
+    {"crash-long", kCa, 0x25ffe421b37a3e84},
+    {"crash-long", kEp, 0xe99b9f73b4a3ab8f},
+    {"crash-long", kM2, 0xb902041170421945},
+    {"crash-long", kMe, 0x42c468903377a8c6},
+    {"crash-long", kMp, 0xab6f546e194c8970},
+    {"crash-long", kCr, 0x6834e4c032ca9f42},
+    {"crash-recover", kCa, 0x3c8c1d5549fa1542},
+    {"crash-recover", kEp, 0xc43328ba3cf0d69c},
+    {"crash-recover", kM2, 0xaa6c425760230eea},
+    {"crash-recover", kMe, 0xa0166b556e6a08a4},
+    {"crash-recover", kMp, 0xf5ba27d32d2e8f95},
+    {"crash-recover", kCr, 0x97c8c30747c406ba},
+    {"dead-node", kCa, 0x0ef24f09846a91ca},
+    {"dead-node", kEp, 0x6d83688603191272},
+    {"dead-node", kM2, 0xa385414d039359a7},
+    {"dead-node", kMe, 0x1929253983bad0c3},
+    {"dead-node", kMp, 0x3938884875b89b91},
+    {"dead-node", kCr, 0xa8dc864f69076bc0},
+    {"partition-heal", kCa, 0xd8ca1713ca3aa762},
+    {"partition-heal", kEp, 0xa7c044caff53993b},
+    {"partition-heal", kM2, 0xba1bbfdb4ec770f8},
+    {"partition-heal", kMe, 0x328efeb77df29873},
+    {"partition-heal", kMp, 0x161f0786364bf0f8},
+    {"partition-heal", kCr, 0x8fddad22027511e9},
+    {"partition-suspect", kCa, 0x167d36a45a526428},
+    {"partition-suspect", kEp, 0x94373c16954a7fa8},
+    {"partition-suspect", kM2, 0x174eef4109c05d9f},
+    {"partition-suspect", kMe, 0xf2b9b8db9ad9fed8},
+    {"partition-suspect", kMp, 0xe31ac24eb37171f9},
+    {"partition-suspect", kCr, 0x8f88b73d26a5df65},
+    {"power-loss", kCa, 0x745c4c6bbe4402d5},
+    {"power-loss", kEp, 0x33baf879c2161b06},
+    {"power-loss", kM2, 0xfc354904e3f759a8},
+    {"power-loss", kMe, 0x8d8d170f5500bdb8},
+    {"power-loss", kMp, 0x5ee3a3580fbfbbd1},
+    {"power-loss", kCr, 0x45c87f35e48e686d},
+    {"quickstart", kCa, 0x427bc3cfc28e6988},
+    {"quickstart", kEp, 0xde5d49f76bda9e1b},
+    {"quickstart", kM2, 0x890ffe52d6a9e81d},
+    {"quickstart", kMe, 0x1df5e7ea8c39df25},
+    {"quickstart", kMp, 0x9c401358a9b11917},
+    {"quickstart", kCr, 0x752aa9603cfdf64f},
+    {"rate-ramp", kCa, 0x2c3db96119740116},
+    {"rate-ramp", kEp, 0x666cc678b2295835},
+    {"rate-ramp", kM2, 0xdcc46920a02e5ac9},
+    {"rate-ramp", kMe, 0xcd3eb3ed3f57b122},
+    {"rate-ramp", kMp, 0x1a20642760fee951},
+    {"rate-ramp", kCr, 0x9760e64edccee119},
+    {"rate-sweep", kCa, 0x5579c8fad6d1478d},
+    {"rate-sweep", kEp, 0x0cb1609e2a52cb3d},
+    {"rate-sweep", kM2, 0x913501bd499a8853},
+    {"rate-sweep", kMe, 0x8a215a91f1815e81},
+    {"rate-sweep", kMp, 0x06d83dea7ebe89ab},
+    {"rate-sweep", kCr, 0xc0db044ab53623f0},
+    {"restart-disk", kCa, 0xa70b1ca13eb73d93},
+    {"restart-disk", kEp, 0xe33f5b4865ccf398},
+    {"restart-disk", kM2, 0x3e3e1fa59da5f2c7},
+    {"restart-disk", kMe, 0x898fe647fdfe02cf},
+    {"restart-disk", kMp, 0xfe73a64e5742d52d},
+    {"restart-disk", kCr, 0x0ea1237616b9deed},
+    {"sharded-hash2", kMe, 0x4b5b03fcb57ddbe4},
+    {"sharded-hash4", kEp, 0x8207474b6d53fef8},
+    {"sharded-range3-faults", kMe, 0x2bb02f915f91d391},
+    {"sharded-group-then-site-crash", kMe, 0x8c754c025c669abc},
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Runs, PinnedReportTest, ::testing::ValuesIn(kPins),
+    [](const ::testing::TestParamInfo<Pin>& info) {
+      return pin_name(info.param);
+    });
 
 }  // namespace
 }  // namespace caesar::harness
