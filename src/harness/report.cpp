@@ -236,19 +236,12 @@ void latency_json(std::ostream& os, const stats::LatencyStats& l,
 }
 
 void counters_json(std::ostream& os, const stats::ProtocolCounters& c) {
-  os << "{\"fast_decisions\":" << c.fast_decisions
-     << ",\"slow_decisions\":" << c.slow_decisions
-     << ",\"retries\":" << c.retries
-     << ",\"slow_proposals\":" << c.slow_proposals
-     << ",\"recoveries\":" << c.recoveries << ",\"waits\":" << c.waits
-     << ",\"catchup_requests\":" << c.catchup_requests
-     << ",\"catchup_chunks\":" << c.catchup_chunks
-     << ",\"catchup_commands\":" << c.catchup_commands
-     << ",\"revocations\":" << c.revocations
-     << ",\"wal_appends\":" << c.wal_appends << ",\"fsyncs\":" << c.fsyncs
-     << ",\"snapshots\":" << c.snapshots
-     << ",\"truncated_segments\":" << c.truncated_segments
-     << ",\"fast_path_fraction\":" << json_num(c.fast_path_fraction()) << "}";
+  char sep = '{';
+  for (const stats::CounterField& f : stats::kCounterFields) {
+    os << sep << '"' << f.name << "\":" << c.*f.member;
+    sep = ',';
+  }
+  os << ",\"fast_path_fraction\":" << json_num(c.fast_path_fraction()) << "}";
 }
 
 void provenance_json(std::ostream& os, const Provenance& p) {

@@ -1,7 +1,5 @@
-// RunReport: the structured result of one scenario run.
-//
-// Successor to the seed's flat ExperimentResult (which survives as an alias
-// for source compatibility): besides the run-wide aggregates it carries
+// RunReport: the structured result of one scenario run. Besides the run-wide
+// aggregates it carries
 //
 //   * metrics windows — one per workload phase inside the measurement
 //     interval, or fixed-width slices when the scenario requests them — each
@@ -149,10 +147,10 @@ struct RunReport {
   std::vector<rsm::KvStore> stores;
   std::vector<bool> crashed_at_end;
 
-  /// Sharded runs only: per-group rollups and router counters. Empty for the
-  /// classic single-group path, whose JSON stays byte-identical. For a
-  /// sharded run the flat delivery_logs/stores above stay empty — final
-  /// state lives per group in `shards` and the sharded oracle consumes it.
+  /// Sharded runs only: per-group rollups and router counters. Empty for a
+  /// one-group run, whose JSON is the classic document. For a sharded run
+  /// the flat delivery_logs/stores above stay empty — final state lives per
+  /// group in `shards` and the sharded oracle consumes it.
   std::vector<ShardMetrics> shards;
   RouterStats router;
 
@@ -166,10 +164,6 @@ struct RunReport {
   /// Window lookup by label ("phase1", "win3", "run"); nullptr when absent.
   const stats::MetricsWindow* window(std::string_view label) const;
 };
-
-/// The seed's result type, now a view onto RunReport. New code should say
-/// RunReport.
-using ExperimentResult = RunReport;
 
 // ---------------------------------------------------------------------------
 // A/B diffing

@@ -8,7 +8,8 @@
 
 #include "rsm/delivery_log.h"
 #include "rsm/kvstore.h"
-#include "shard/sharded_scenario.h"
+#include "shard/shard_router.h"
+#include "shard/sharded_cluster.h"
 
 namespace caesar::harness {
 
@@ -496,16 +497,20 @@ void validate_scenario(const Scenario& s) {
     if (e.at < 0 || e.at > s.duration) {
       fail(s, to_string(e) + " is outside the run's [0, duration] window");
     }
-    if (e.group != FaultEvent::kAllGroups) {
-      if (e.group < 0 ||
-          e.group >= static_cast<std::int32_t>(s.shards.count)) {
-        std::ostringstream os;
-        os << to_string(e) << " targets group " << e.group
-           << " but the scenario has " << s.shards.count
-           << " shard group(s); valid groups are -1 (all) .. "
-           << (s.shards.count - 1);
-        fail(s, os.str());
-      }
+    if (e.group != FaultEvent::kAllGroups && !s.shards.sharded()) {
+      fail(s, to_string(e) +
+                  " is group-scoped, but the scenario is unsharded; "
+                  "group-scoped faults need shards.count > 1");
+    }
+    if (e.group != FaultEvent::kAllGroups &&
+        (e.group < 0 ||
+         e.group >= static_cast<std::int32_t>(s.shards.count))) {
+      std::ostringstream os;
+      os << to_string(e) << " targets group " << e.group
+         << " but the scenario has " << s.shards.count
+         << " shard groups; valid groups are -1 (all) .. "
+         << (s.shards.count - 1);
+      fail(s, os.str());
     }
     switch (e.kind) {
       case FaultEvent::Kind::kCrash:
@@ -657,37 +662,13 @@ stats::ProtocolStats aggregate(const std::vector<stats::ProtocolStats>& per_node
       count == SIZE_MAX ? per_node.size()
                         : std::min(per_node.size(), offset + count);
   for (std::size_t i = offset; i < end; ++i) {
-    const auto& s = per_node[i];
-    total.fast_decisions += s.fast_decisions;
-    total.slow_decisions += s.slow_decisions;
-    total.retries += s.retries;
-    total.slow_proposals += s.slow_proposals;
-    total.recoveries += s.recoveries;
-    total.waits += s.waits;
-    total.catchup_requests += s.catchup_requests;
-    total.catchup_chunks += s.catchup_chunks;
-    total.catchup_commands += s.catchup_commands;
-    total.revocations += s.revocations;
-    total.wal_appends += s.wal_appends;
-    total.fsyncs += s.fsyncs;
-    total.snapshots += s.snapshots;
-    total.truncated_segments += s.truncated_segments;
+    const stats::ProtocolStats& s = per_node[i];
+    total += s;
     total.wait_time.merge(s.wait_time);
     total.propose_phase.merge(s.propose_phase);
     total.retry_phase.merge(s.retry_phase);
     total.deliver_phase.merge(s.deliver_phase);
   }
-  return total;
-}
-
-stats::ProtocolCounters aggregate_counters(
-    const std::vector<stats::ProtocolStats>& per_node, std::size_t offset,
-    std::size_t count) {
-  stats::ProtocolCounters total;
-  const std::size_t end =
-      count == SIZE_MAX ? per_node.size()
-                        : std::min(per_node.size(), offset + count);
-  for (std::size_t i = offset; i < end; ++i) total += per_node[i].counters();
   return total;
 }
 
@@ -699,6 +680,24 @@ void record_unbundled(rsm::DeliveryLog& log, const rsm::Command& cmd) {
   } else {
     log.record(cmd);
   }
+}
+
+}  // namespace detail
+
+namespace {
+
+using detail::aggregate;
+using detail::make_factory;
+using detail::record_unbundled;
+
+/// The plain counters of per_node[offset, offset + count), without copying
+/// latency pools.
+stats::ProtocolCounters aggregate_counters(
+    const std::vector<stats::ProtocolStats>& per_node, std::size_t offset,
+    std::size_t count) {
+  stats::ProtocolCounters total;
+  for (std::size_t i = offset; i < offset + count; ++i) total += per_node[i];
+  return total;
 }
 
 /// Lays out the report's metrics windows: disjoint half-open slices covering
@@ -751,39 +750,90 @@ std::vector<stats::MetricsWindow> plan_windows(const Scenario& s) {
   return windows;
 }
 
-}  // namespace detail
+/// Harness-side mirror of one group's replicas: what each delivered, for the
+/// consistency oracle. marks[node][i] is the mirror-log length after the
+/// node's (i+1)-th protocol-level delivery: durable delivered counts are in
+/// protocol-level instances while the mirror logs hold unbundled batch
+/// members, so a restart translates its durable prefix through these marks.
+struct GroupMirror {
+  std::vector<rsm::DeliveryLog> logs;
+  std::vector<rsm::KvStore> kvs;
+  std::vector<std::vector<std::size_t>> marks;
+};
 
-namespace {
-
-using detail::aggregate;
-using detail::aggregate_counters;
-using detail::make_factory;
-using detail::plan_windows;
-using detail::record_unbundled;
-
-/// One boundary snapshot of the run's monotone counters; adjacent snapshots
-/// subtract into a window's deltas.
-struct BoundarySnap {
+/// Monotone counters of the run, or of one group, at one instant; adjacent
+/// snapshots subtract into a window's deltas.
+struct Counts {
   stats::ProtocolCounters proto;
+  /// Whole run: the pool's submissions. One group: commands routed into it.
   std::uint64_t submitted = 0;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
-  /// Per-node latency-pool sample counts; adjacent snapshots delimit the
-  /// samples each window range-merges into its phase breakdown.
+};
+
+struct BoundarySnap {
+  Counts run;
+  std::vector<Counts> groups;
+  /// Per-node latency-pool sample counts (group-major, like
+  /// RunReport::per_node); adjacent snapshots delimit the samples each
+  /// window range-merges into its phase breakdown.
   std::vector<stats::ProtocolStats::PoolCounts> pools;
 };
+
+/// Fills window `w` with what happened between two boundary snapshots: the
+/// deltas of counters `c0` -> `c1` (the run's, or one group's), and the
+/// phase-latency samples that per_node[lo, hi) recorded meanwhile.
+void fill_window(stats::MetricsWindow& w, const Counts& c0, const Counts& c1,
+                 const BoundarySnap& from, const BoundarySnap& to,
+                 const std::vector<stats::ProtocolStats>& per_node,
+                 std::size_t lo, std::size_t hi) {
+  w.submitted = c1.submitted - c0.submitted;
+  w.messages = c1.messages - c0.messages;
+  w.bytes = c1.bytes - c0.bytes;
+  w.proto = c1.proto - c0.proto;
+  for (std::size_t node = lo; node < hi; ++node) {
+    const auto& f = from.pools[node];
+    const auto& t = to.pools[node];
+    const stats::ProtocolStats& ps = per_node[node];
+    w.wait_time.merge_range(ps.wait_time, f.wait, t.wait);
+    w.propose_phase.merge_range(ps.propose_phase, f.propose, t.propose);
+    w.retry_phase.merge_range(ps.retry_phase, f.retry, t.retry);
+    w.deliver_phase.merge_range(ps.deliver_phase, f.deliver, t.deliver);
+  }
+}
+
+/// Window assignment is by completion instant: windows are half-open
+/// [begin, end) slices in time order and completions arrive in time order,
+/// so one advancing cursor suffices; completions at exactly t=duration clamp
+/// into the last window.
+void record_in_window(std::vector<stats::MetricsWindow>& windows,
+                      std::size_t& cursor, Time at, Time latency) {
+  while (cursor + 1 < windows.size() && at >= windows[cursor].end) ++cursor;
+  windows[cursor].latency.record(latency);
+}
+
+/// True when no two replicas disagree on any key's delivery order.
+bool logs_agree(const std::vector<rsm::DeliveryLog>& logs) {
+  for (std::size_t i = 0; i < logs.size(); ++i) {
+    for (std::size_t j = i + 1; j < logs.size(); ++j) {
+      if (!rsm::consistent_key_orders(logs[i], logs[j])) return false;
+    }
+  }
+  return true;
+}
 
 }  // namespace
 
 RunReport run_scenario(const Scenario& s) {
   validate_scenario(s);
-  if (s.shards.sharded()) return shard::run_sharded_scenario(s);
 
   const std::size_t n = s.topology.size();
+  const std::uint32_t groups = s.shards.count;
   sim::Simulator sim(s.seed);
 
   RunReport result;
-  result.per_node.resize(n);
+  // Per-node protocol stats, group-major: group g's node i lands at g*n + i.
+  result.per_node.resize(groups * n);
   result.timeline = stats::TimeSeries(s.timeline_bucket);
   result.sites.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -797,16 +847,24 @@ RunReport run_scenario(const Scenario& s) {
   result.provenance.warmup = s.warmup;
   result.provenance.build = std::string(build_version());
   result.windows = plan_windows(s);
+  // Per-group rollups exist only for a sharded run; a one-group run's
+  // report is the classic document.
+  if (s.shards.sharded()) {
+    result.router.partition = std::string(to_string(s.shards.partition));
+    result.router.multi_key = std::string(to_string(s.shards.multi_key));
+    result.shards.resize(groups);
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      result.shards[g].group = g;
+      result.shards[g].windows = result.windows;  // same slicing per group
+    }
+  }
 
-  std::vector<rsm::DeliveryLog> logs(s.check_consistency ? n : 0);
-  std::vector<rsm::KvStore> kvs(n);
-  // Per-node instance marks: marks[node][i] = mirror-log length after the
-  // (i+1)-th protocol-level delivery. Durable delivered counts are in
-  // protocol-level instances while the mirror logs hold unbundled batch
-  // members, so a restart translates its durable prefix through these marks.
-  std::vector<std::vector<std::size_t>> marks(s.check_consistency ? n : 0);
+  const std::size_t mirrored = s.check_consistency ? n : 0;
+  std::vector<GroupMirror> mirrors(
+      groups, GroupMirror{std::vector<rsm::DeliveryLog>(mirrored),
+                          std::vector<rsm::KvStore>(n),
+                          std::vector<std::vector<std::size_t>>(mirrored)});
 
-  wl::ClientPool* pool_ptr = nullptr;
   rt::ClusterConfig ccfg;
   ccfg.node = s.node;
   ccfg.fd_timeout_us = s.fd_timeout_us;
@@ -819,105 +877,150 @@ RunReport run_scenario(const Scenario& s) {
     std::filesystem::create_directories(s.storage.data_dir);
   }
 
-  rt::Cluster cluster(
-      sim, s.topology, ccfg, make_factory(s, result.per_node),
-      [&](NodeId node, const rsm::Command& cmd) {
-        if (s.check_consistency) logs[node].record(cmd);
-        kvs[node].apply(cmd);
-        if (pool_ptr != nullptr) pool_ptr->on_delivery(node, cmd);
+  shard::ShardRouter* router_ptr = nullptr;
+  wl::ClientPool* pool_ptr = nullptr;
+  // The delivering group, set before the pool upcall so the completion hook
+  // (which fires only inside it) can attribute the completion.
+  std::uint32_t completing_group = 0;
+
+  shard::ShardedCluster cluster(
+      sim, s.topology, ccfg, groups,
+      [&s, &result, n](std::uint32_t g) {
+        return make_factory(s, result.per_node, g * n);
+      },
+      [&](std::uint32_t g, NodeId node, const rsm::Command& cmd) {
+        GroupMirror& m = mirrors[g];
+        if (s.check_consistency) m.logs[node].record(cmd);
+        m.kvs[node].apply(cmd);
+        if (router_ptr != nullptr) router_ptr->on_delivery(g, node, cmd);
+        if (pool_ptr != nullptr) {
+          completing_group = g;
+          pool_ptr->on_delivery(node, cmd);
+        }
       });
   if (s.check_consistency) {
-    cluster.set_instance_hook(
-        [&](NodeId node) { marks[node].push_back(logs[node].size()); });
+    cluster.set_instance_hook([&](std::uint32_t g, NodeId node) {
+      mirrors[g].marks[node].push_back(mirrors[g].logs[node].size());
+    });
   }
 
-  wl::ClientPool pool(sim, cluster, s.workload, sim.rng().fork(), s.phases,
+  shard::ShardRouter router(cluster, shard::ShardMap(s.shards));
+  router_ptr = &router;
+  wl::ClientPool pool(sim, router, s.workload, sim.rng().fork(), s.phases,
                       s.duration);
   pool_ptr = &pool;
+  router.set_loss_hook([&pool](ReqId req) { pool.on_request_lost(req); });
 
   // Keep the harness-side mirrors honest across durability events. A restart
   // rolls a node's observable history back to its durable prefix (or, when
   // its WAL was compacted, to the retained suffix — the mirror log turns
   // trimmed and the oracle switches to suffix semantics); a catch-up
   // snapshot install replaces the store wholesale mid-run.
-  cluster.set_restart_hook([&](NodeId node,
+  cluster.set_restart_hook([&](std::uint32_t g, NodeId node,
                                const caesar::storage::RecoveredState& st) {
+    GroupMirror& m = mirrors[g];
     if (s.check_consistency) {
       if (st.trimmed) {
-        logs[node].reset_trimmed();
+        m.logs[node].reset_trimmed();
         // Re-base the marks: durable counts below the retained suffix are
         // unreachable from here on (a later restart can never roll back past
         // this snapshot), so their marks are placeholders.
-        marks[node].assign(st.delivered_count - st.log.entries().size(), 0);
+        m.marks[node].assign(st.delivered_count - st.log.entries().size(), 0);
         for (const auto& [index, cmd] : st.log.entries()) {
-          record_unbundled(logs[node], cmd);
-          marks[node].push_back(logs[node].size());
+          record_unbundled(m.logs[node], cmd);
+          m.marks[node].push_back(m.logs[node].size());
         }
       } else {
         const std::size_t d = st.delivered_count;
-        if (d < marks[node].size()) marks[node].resize(d);
-        logs[node].truncate(d == 0 ? 0 : marks[node][d - 1]);
+        if (d < m.marks[node].size()) m.marks[node].resize(d);
+        m.logs[node].truncate(d == 0 ? 0 : m.marks[node][d - 1]);
       }
     }
-    kvs[node] = st.store;
+    m.kvs[node] = st.store;
   });
   cluster.set_snapshot_install_hook(
-      [&](NodeId node, const rsm::KvStore& store, std::uint64_t delivered) {
+      [&](std::uint32_t g, NodeId node, const rsm::KvStore& store,
+          std::uint64_t delivered) {
+        GroupMirror& m = mirrors[g];
         if (s.check_consistency) {
-          logs[node].reset_trimmed();
-          marks[node].assign(delivered, 0);
+          m.logs[node].reset_trimmed();
+          m.marks[node].assign(delivered, 0);
         }
-        kvs[node] = store;
+        m.kvs[node] = store;
       });
-  // Window assignment is by completion instant: windows are half-open
-  // [begin, end) slices in time order and completions arrive in time order,
-  // so a single advancing index suffices; completions at exactly t=duration
-  // clamp into the last window.
+
   std::size_t widx = 0;
+  std::vector<std::size_t> group_widx(result.shards.size(), 0);
   pool.set_completion_hook([&](const wl::Completion& c) {
     result.timeline.record(c.complete_time);
+    ShardMetrics* sm =
+        result.sharded() ? &result.shards[completing_group] : nullptr;
+    if (sm != nullptr) ++sm->completed;
     if (c.complete_time < s.warmup) return;
     const Time latency = c.complete_time - c.submit_time;
     result.total_latency.record(latency);
     result.sites[c.site].latency.record(latency);
-    while (widx + 1 < result.windows.size() &&
-           c.complete_time >= result.windows[widx].end) {
-      ++widx;
+    record_in_window(result.windows, widx, c.complete_time, latency);
+    if (sm != nullptr) {
+      sm->latency.record(latency);
+      record_in_window(sm->windows, group_widx[completing_group],
+                       c.complete_time, latency);
     }
-    result.windows[widx].latency.record(latency);
   });
 
   cluster.start();
   pool.start();
 
+  // A whole-site crash: the pool reassigns the site's own clients first (in
+  // client order), so the router's loss reports cover only the requests it
+  // had diverted to this site from others. A group-scoped crash is invisible
+  // to the pool; the router alone fails its requests over.
+  auto site_crashed = [&pool, &router, groups](NodeId node) {
+    pool.on_node_crashed(node);
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      router.on_group_node_crashed(g, node);
+    }
+  };
+
   // Fault schedule: each event fires at its instant, in timeline order.
   for (const FaultEvent& e : s.faults) {
-    sim.at(e.at, [&cluster, &pool, e] {
+    sim.at(e.at, [&cluster, &router, &pool, &site_crashed, e, groups, n] {
+      const bool whole_site = e.group == FaultEvent::kAllGroups;
       switch (e.kind) {
         case FaultEvent::Kind::kCrash:
-          cluster.crash(e.node);
-          pool.on_node_crashed(e.node);
+          cluster.crash(e.group, e.node);
+          if (whole_site) {
+            site_crashed(e.node);
+          } else {
+            router.on_group_node_crashed(static_cast<std::uint32_t>(e.group),
+                                         e.node);
+          }
           break;
         case FaultEvent::Kind::kRecover:
-          cluster.recover(e.node);
-          pool.on_node_recovered(e.node);
+          cluster.recover(e.group, e.node);
+          if (whole_site) pool.on_node_recovered(e.node);
           break;
         case FaultEvent::Kind::kPartition:
-          cluster.set_link(e.a, e.b, false);
+          cluster.set_link(e.group, e.a, e.b, false);
           break;
         case FaultEvent::Kind::kHeal:
-          cluster.set_link(e.a, e.b, true);
+          cluster.set_link(e.group, e.a, e.b, true);
           break;
         case FaultEvent::Kind::kPowerLoss:
-          for (NodeId i = 0; i < cluster.size(); ++i) {
-            if (cluster.node(i).crashed()) continue;
-            cluster.crash(i);
-            pool.on_node_crashed(i);
+          // Only replicas still up go down: rt::Cluster::crash is not
+          // idempotent (it re-arms the failure detector).
+          for (NodeId i = 0; i < n; ++i) {
+            if (cluster.site_fully_crashed(i)) continue;
+            for (std::uint32_t g = 0; g < groups; ++g) {
+              rt::Cluster& group = cluster.group(g);
+              if (!group.node(i).crashed()) group.crash(i);
+            }
+            site_crashed(i);
           }
           break;
         case FaultEvent::Kind::kRestart:
-          cluster.restart(e.node);
-          pool.on_node_recovered(e.node);
+          cluster.restart(e.group, e.node);
+          if (whole_site) pool.on_node_recovered(e.node);
           break;
       }
     });
@@ -932,16 +1035,28 @@ RunReport run_scenario(const Scenario& s) {
     });
   }
 
-  // Window-boundary snapshots of the monotone counters. Interior boundaries
-  // fire as events — scheduled before the run starts, so at a shared instant
-  // they execute ahead of activity scheduled later, matching the half-open
-  // window rule — and the final boundary is read after the run.
+  // Window-boundary snapshots of the monotone counters, run-wide and per
+  // group. Interior boundaries fire as events — scheduled before the run
+  // starts, so at a shared instant they execute ahead of activity scheduled
+  // later, matching the half-open window rule — and the final boundary is
+  // read after the run.
   std::vector<BoundarySnap> snaps(result.windows.size() + 1);
-  auto capture = [&result, &pool, &cluster](BoundarySnap& snap) {
-    snap.proto = aggregate_counters(result.per_node);
-    snap.submitted = pool.submitted();
-    snap.messages = cluster.network().messages_delivered();
-    snap.bytes = cluster.network().bytes_sent();
+  auto capture = [&result, &pool, &cluster, &router, groups, n](
+                     BoundarySnap& snap) {
+    snap.run = Counts{};
+    snap.run.submitted = pool.submitted();
+    snap.groups.resize(groups);
+    for (std::uint32_t g = 0; g < groups; ++g) {
+      const net::Network& net = cluster.group(g).network();
+      Counts& c = snap.groups[g];
+      c.proto = aggregate_counters(result.per_node, g * n, n);
+      c.submitted = router.stats().routed[g];
+      c.messages = net.messages_delivered();
+      c.bytes = net.bytes_sent();
+      snap.run.proto += c.proto;
+      snap.run.messages += c.messages;
+      snap.run.bytes += c.bytes;
+    }
     snap.pools.resize(result.per_node.size());
     for (std::size_t i = 0; i < result.per_node.size(); ++i) {
       snap.pools[i] = result.per_node[i].pool_counts();
@@ -955,19 +1070,13 @@ RunReport run_scenario(const Scenario& s) {
   capture(snaps.back());
 
   for (std::size_t i = 0; i < result.windows.size(); ++i) {
-    stats::MetricsWindow& w = result.windows[i];
-    w.submitted = snaps[i + 1].submitted - snaps[i].submitted;
-    w.messages = snaps[i + 1].messages - snaps[i].messages;
-    w.bytes = snaps[i + 1].bytes - snaps[i].bytes;
-    w.proto = snaps[i + 1].proto - snaps[i].proto;
-    for (std::size_t node = 0; node < n; ++node) {
-      const auto& from = snaps[i].pools[node];
-      const auto& to = snaps[i + 1].pools[node];
-      const stats::ProtocolStats& ps = result.per_node[node];
-      w.wait_time.merge_range(ps.wait_time, from.wait, to.wait);
-      w.propose_phase.merge_range(ps.propose_phase, from.propose, to.propose);
-      w.retry_phase.merge_range(ps.retry_phase, from.retry, to.retry);
-      w.deliver_phase.merge_range(ps.deliver_phase, from.deliver, to.deliver);
+    const BoundarySnap& from = snaps[i];
+    const BoundarySnap& to = snaps[i + 1];
+    fill_window(result.windows[i], from.run, to.run, from, to, result.per_node,
+                0, result.per_node.size());
+    for (std::uint32_t g = 0; g < result.shards.size(); ++g) {
+      fill_window(result.shards[g].windows[i], from.groups[g], to.groups[g],
+                  from, to, result.per_node, g * n, g * n + n);
     }
   }
 
@@ -975,40 +1084,58 @@ RunReport run_scenario(const Scenario& s) {
   result.submitted = pool.submitted();
   const double window_s =
       static_cast<double>(s.duration - s.warmup) / static_cast<double>(kSec);
-  result.throughput_tps =
-      window_s > 0 ? static_cast<double>(result.total_latency.count()) / window_s
-                   : 0.0;
+  auto tput = [window_s](const stats::LatencyStats& l) {
+    return window_s > 0 ? static_cast<double>(l.count()) / window_s : 0.0;
+  };
+  result.throughput_tps = tput(result.total_latency);
   result.proto = aggregate(result.per_node);
-
-  if (s.check_consistency) {
-    for (std::size_t i = 0; i < n && result.consistent; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (!rsm::consistent_key_orders(logs[i], logs[j])) {
-          result.consistent = false;
-          break;
-        }
-      }
-    }
-    // Hand the final replica state to the caller: the test-side consistency
-    // oracle needs the logs and stores themselves, plus which nodes were
-    // still down when the run ended (a crashed-forever node legitimately
-    // trails the cluster).
-    result.delivery_logs = std::move(logs);
-    result.stores = std::move(kvs);
-    result.crashed_at_end.resize(n);
-    for (NodeId i = 0; i < n; ++i) {
-      result.crashed_at_end[i] = cluster.node(i).crashed();
-    }
-  }
-
-  result.messages = cluster.network().messages_delivered();
-  result.bytes = cluster.network().bytes_sent();
+  result.messages = snaps.back().run.messages;
+  result.bytes = snaps.back().run.bytes;
   result.fd_suspicions = cluster.fd_suspicions();
   result.fd_retractions = cluster.fd_retractions();
   result.flow_control.enabled = pool.flow_control_enabled();
   result.flow_control.admitted = pool.flow_admitted();
   result.flow_control.deferred = pool.flow_deferred();
   result.flow_control.shed = pool.flow_shed();
+
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    GroupMirror& m = mirrors[g];
+    const bool agree = logs_agree(m.logs);
+    result.consistent = result.consistent && agree;
+    // With consistency checking on, the final replica state goes to the
+    // caller: the oracle needs the logs and stores themselves, plus which
+    // nodes were still down when the run ended (a crashed-forever node
+    // legitimately trails the cluster).
+    auto hand_over = [&](auto& dst) {
+      if (!s.check_consistency) return;
+      dst.delivery_logs = std::move(m.logs);
+      dst.stores = std::move(m.kvs);
+      dst.crashed_at_end.resize(n);
+      for (NodeId i = 0; i < n; ++i) {
+        dst.crashed_at_end[i] = cluster.group(g).node(i).crashed();
+      }
+    };
+    if (!result.sharded()) {
+      hand_over(result);  // a one-group run keeps it at the top level
+      continue;
+    }
+    ShardMetrics& sm = result.shards[g];
+    const net::Network& net = cluster.group(g).network();
+    sm.routed = router.stats().routed[g];
+    sm.throughput_tps = tput(sm.latency);
+    sm.messages = net.messages_delivered();
+    sm.bytes = net.bytes_sent();
+    sm.proto = aggregate(result.per_node, g * n, n);
+    sm.fd_suspicions = cluster.group(g).fd_suspicions();
+    sm.fd_retractions = cluster.group(g).fd_retractions();
+    sm.consistent = agree;
+    hand_over(sm);
+  }
+  if (result.sharded()) {
+    result.router.cross_shard_pins = router.stats().cross_shard_pins;
+    result.router.cross_shard_rejects = router.stats().cross_shard_rejects;
+    result.router.reroutes = router.stats().reroutes;
+  }
   return result;
 }
 

@@ -1,4 +1,4 @@
-// Scenario API: the composable successor to the monolithic ExperimentConfig.
+// Scenario API: what one simulated run does, as data.
 //
 // A Scenario is (1) a protocol + topology + node/runtime knobs, (2) an
 // ordered *fault schedule* — crashes, recoveries, link partitions and heals
@@ -70,10 +70,10 @@ struct FaultEvent {
   NodeId a = kNoNode;
   NodeId b = kNoNode;
   /// Sharded runs: which consensus group the fault hits. kAllGroups (the
-  /// default, and the only valid value for unsharded scenarios) applies the
-  /// fault to every group at once — the whole machine at that site fails;
-  /// a specific group models an asymmetric fault that leaves the site's
-  /// other group replicas running.
+  /// default, and the only value validate_scenario accepts when
+  /// shards.count == 1) applies the fault to every group at once — the whole
+  /// machine at that site fails; a specific group models an asymmetric fault
+  /// that leaves the site's other group replicas running.
   static constexpr std::int32_t kAllGroups = -1;
   std::int32_t group = kAllGroups;
 
@@ -98,9 +98,9 @@ struct Scenario {
   /// Workload phases in time order; empty = one closed-loop phase at t=0
   /// built from `workload`.
   std::vector<wl::PhaseSpec> phases;
-  /// Keyspace sharding across independent consensus groups. count == 1 (the
-  /// default) runs the classic single-group path unchanged; count > 1 routes
-  /// through shard::ShardRouter and the report carries per-group rollups.
+  /// Keyspace sharding across independent consensus groups. Every run routes
+  /// through shard::ShardRouter; count == 1 (the default) is the classic
+  /// one-group run, and count > 1 adds per-group rollups to the report.
   shard::ShardSpec shards;
   /// Fault timeline; executed in time order during the run.
   std::vector<FaultEvent> faults;
@@ -266,35 +266,28 @@ void validate_scenario(const Scenario& s);
 /// Runs one scenario to completion. Deterministic in s.seed. Validates
 /// first (see validate_scenario). The report carries per-window metrics
 /// (per-phase, or fixed-width via Scenario::metrics_window_us) and run
-/// provenance besides the run-wide aggregates. A scenario with
-/// shards.count > 1 dispatches to the sharded runner automatically.
+/// provenance besides the run-wide aggregates. Every run drives
+/// s.shards.count consensus groups behind a shard::ShardRouter; a classic
+/// scenario is a one-group run, and only a sharded one (count > 1) adds the
+/// per-group rollups (RunReport::shards, RunReport::router).
 RunReport run_scenario(const Scenario& s);
 
-/// Internals shared between the single-group runner and the sharded one
-/// (shard/sharded_scenario.cpp). Not a stable API.
+/// run_scenario's building blocks, exposed for programs that assemble the
+/// same run by hand (the host-cost benchmark). Not a stable API.
 namespace detail {
 
 /// Protocol factory for one consensus group; each node's counters land in
-/// stats[offset + node] (the sharded runner packs per-node stats group-major
-/// into one flat vector).
+/// stats[offset + node] (run_scenario packs per-node stats group-major into
+/// one flat vector).
 rt::Cluster::ProtocolFactory make_factory(const Scenario& s,
                                           std::vector<stats::ProtocolStats>& stats,
                                           std::size_t offset = 0);
 
-/// Lays out a report's metrics windows: disjoint half-open slices covering
-/// [warmup, duration) — fixed-width when requested, else per-phase, else one
-/// "run" window.
-std::vector<stats::MetricsWindow> plan_windows(const Scenario& s);
-
-/// Sums protocol stats/counters over per_node[offset, offset+count); count
-/// == SIZE_MAX sums to the end (the sharded runner aggregates one group's
-/// slice of the group-major vector).
+/// Sums protocol stats over per_node[offset, offset+count); count ==
+/// SIZE_MAX sums to the end.
 stats::ProtocolStats aggregate(const std::vector<stats::ProtocolStats>& per_node,
                                std::size_t offset = 0,
                                std::size_t count = SIZE_MAX);
-stats::ProtocolCounters aggregate_counters(
-    const std::vector<stats::ProtocolStats>& per_node, std::size_t offset = 0,
-    std::size_t count = SIZE_MAX);
 
 /// Mirrors one protocol-level delivery into a harness log: a batch composite
 /// records as its individual member commands (the same unbundling the

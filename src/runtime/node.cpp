@@ -1,6 +1,7 @@
 #include "runtime/node.h"
 
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "common/logging.h"
@@ -33,21 +34,15 @@ void Node::enable_durability(const std::string& node_dir,
 
 std::shared_ptr<const std::vector<std::byte>> Node::finish_frame(
     std::uint16_t type, net::Encoder body) {
-  if (body.has_frame_header()) {
-    // Fast path (Env::encoder() bodies): the header bytes are already
-    // reserved, so stamping the type finishes the frame in place — the
-    // protocol's encode buffer IS the wire payload, no copy.
-    body.patch_u16(0, type);
-    return pool_->wrap(body.take());
+  // Env::encoder() reserves the header bytes, so stamping the type finishes
+  // the frame in place: the protocol's encode buffer IS the wire payload, no
+  // copy. Any other body would have its first payload bytes overwritten.
+  if (!body.has_frame_header()) {
+    throw std::logic_error(
+        "message body was not built with Env::encoder() (no frame header)");
   }
-  // Compatibility path for ad-hoc encoders: one framing copy into a pooled
-  // buffer.
-  std::vector<std::byte> payload = body.take();
-  net::Encoder framed =
-      net::Encoder::with_frame_header(pool_->acquire(payload.size() + 2));
-  framed.patch_u16(0, type);
-  framed.append_raw(payload);
-  return pool_->wrap(framed.take());
+  body.patch_u16(0, type);
+  return pool_->wrap(body.take());
 }
 
 void Node::send(NodeId to, std::uint16_t type, net::Encoder body) {

@@ -132,7 +132,8 @@ class Node final : public Env {
   /// Dispatches one decoded frame (type tag already consumed) to the
   /// protocol or the runtime's reserved catch-up hooks.
   void dispatch_frame(NodeId from, std::uint16_t type, net::Decoder& d);
-  /// Stamps the type tag into the body and wraps it as a pooled payload.
+  /// Stamps the type tag into an encoder() body and wraps it as a pooled
+  /// payload; throws std::logic_error on a body without the frame header.
   std::shared_ptr<const std::vector<std::byte>> finish_frame(
       std::uint16_t type, net::Encoder body);
   void enqueue(std::function<void()> fn, Time service);

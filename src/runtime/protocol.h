@@ -47,11 +47,12 @@ class Env {
   virtual std::size_t cluster_size() const = 0;
   virtual Time now() const = 0;
 
-  /// Message-body encoder for send/broadcast. The runtime's implementation
-  /// recycles buffers through its pool and pre-reserves the frame header, so
-  /// a protocol that encodes into env.encoder() ships its bytes with zero
-  /// copies and zero steady-state allocation; a default-constructed
-  /// net::Encoder still works everywhere, one framing copy slower.
+  /// Message-body encoder for send/broadcast; every body sent must come from
+  /// here. It pre-reserves the frame header (the runtime's implementation
+  /// also recycles buffers through its pool), so a message ships with zero
+  /// copies and zero steady-state allocation. send/broadcast throw
+  /// std::logic_error on a body without the header, such as a
+  /// default-constructed net::Encoder.
   virtual net::Encoder encoder() {
     return net::Encoder::with_frame_header({});
   }

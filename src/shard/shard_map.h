@@ -37,8 +37,8 @@ constexpr std::string_view to_string(MultiKeyPolicy p) {
   return p == MultiKeyPolicy::kPinFirstKey ? "pin-first-key" : "reject";
 }
 
-/// How a scenario shards its keyspace. count == 1 means unsharded: the
-/// classic single-group path runs unchanged.
+/// How a scenario shards its keyspace. count == 1 means unsharded: one
+/// group owns every key.
 struct ShardSpec {
   std::uint32_t count = 1;
   Partition partition = Partition::kHash;

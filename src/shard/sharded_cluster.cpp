@@ -10,7 +10,7 @@ ShardedCluster::ShardedCluster(sim::Simulator& sim, const net::Topology& topo,
   groups_.reserve(groups);
   for (std::uint32_t g = 0; g < groups; ++g) {
     rt::ClusterConfig gcfg = cfg;
-    if (gcfg.storage.enabled()) {
+    if (groups > 1 && gcfg.storage.enabled()) {
       gcfg.storage.data_dir += "/group-" + std::to_string(g);
     }
     groups_.push_back(std::make_unique<rt::Cluster>(

@@ -2,8 +2,9 @@
 //
 // Each group is a full rt::Cluster — its own Network, nodes, failure
 // detector and (when enabled) durable storage under
-// <data_dir>/group-<g>/node-<id>/ — so node ids are group-scoped and
-// FD/partition state never leaks across groups. All groups share the same
+// <data_dir>/group-<g>/node-<id>/ (<data_dir>/node-<id>/ for a single
+// group) — so node ids are group-scoped and FD/partition state never leaks
+// across groups. All groups share the same
 // sim::Simulator, which keeps a sharded run a pure function of its seed
 // exactly like a single-group run.
 //
@@ -40,7 +41,8 @@ class ShardedCluster {
   using GroupInstanceHook = std::function<void(std::uint32_t group, NodeId)>;
 
   /// Every group gets the same topology and config; with durable storage
-  /// enabled, each group's data lives under its own group-<g> subdirectory.
+  /// enabled and more than one group, each group's data lives under its own
+  /// group-<g> subdirectory.
   ShardedCluster(sim::Simulator& sim, const net::Topology& topo,
                  const rt::ClusterConfig& cfg, std::uint32_t groups,
                  const GroupFactory& factory, GroupDeliverHook on_deliver);

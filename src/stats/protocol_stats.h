@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iterator>
 
 #include "common/types.h"
 #include "stats/latency_stats.h"
@@ -16,12 +17,13 @@ namespace caesar::stats {
 /// inside the window, so fast-path fractions can be read per phase without
 /// hand-placed sample points.
 struct ProtocolCounters {
+  // Decision paths, counted once per command at its leader.
   std::uint64_t fast_decisions = 0;
   std::uint64_t slow_decisions = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t slow_proposals = 0;
-  std::uint64_t recoveries = 0;
-  std::uint64_t waits = 0;
+  std::uint64_t retries = 0;         // retry phases executed
+  std::uint64_t slow_proposals = 0;  // CAESAR slow-proposal phases
+  std::uint64_t recoveries = 0;      // recovery procedures started
+  std::uint64_t waits = 0;           // CAESAR proposals parked (Fig 11b)
   // State transfer & dead-node revocation (rejoin/catch-up subsystem).
   std::uint64_t catchup_requests = 0;  // requests sent by lagging nodes
   std::uint64_t catchup_chunks = 0;    // reply chunks served by live peers
@@ -45,72 +47,62 @@ struct ProtocolCounters {
     return decisions() == 0 ? 0.0 : 1.0 - slow_path_fraction();
   }
 
-  ProtocolCounters& operator+=(const ProtocolCounters& o) {
-    fast_decisions += o.fast_decisions;
-    slow_decisions += o.slow_decisions;
-    retries += o.retries;
-    slow_proposals += o.slow_proposals;
-    recoveries += o.recoveries;
-    waits += o.waits;
-    catchup_requests += o.catchup_requests;
-    catchup_chunks += o.catchup_chunks;
-    catchup_commands += o.catchup_commands;
-    revocations += o.revocations;
-    wal_appends += o.wal_appends;
-    fsyncs += o.fsyncs;
-    snapshots += o.snapshots;
-    truncated_segments += o.truncated_segments;
-    return *this;
-  }
+  ProtocolCounters& operator+=(const ProtocolCounters& o);
 
   /// Counter delta; counters are monotone, so per-field subtraction of an
   /// earlier snapshot is well-defined.
-  ProtocolCounters operator-(const ProtocolCounters& earlier) const {
-    ProtocolCounters d;
-    d.fast_decisions = fast_decisions - earlier.fast_decisions;
-    d.slow_decisions = slow_decisions - earlier.slow_decisions;
-    d.retries = retries - earlier.retries;
-    d.slow_proposals = slow_proposals - earlier.slow_proposals;
-    d.recoveries = recoveries - earlier.recoveries;
-    d.waits = waits - earlier.waits;
-    d.catchup_requests = catchup_requests - earlier.catchup_requests;
-    d.catchup_chunks = catchup_chunks - earlier.catchup_chunks;
-    d.catchup_commands = catchup_commands - earlier.catchup_commands;
-    d.revocations = revocations - earlier.revocations;
-    d.wal_appends = wal_appends - earlier.wal_appends;
-    d.fsyncs = fsyncs - earlier.fsyncs;
-    d.snapshots = snapshots - earlier.snapshots;
-    d.truncated_segments = truncated_segments - earlier.truncated_segments;
-    return d;
-  }
+  ProtocolCounters operator-(const ProtocolCounters& earlier) const;
 
   friend bool operator==(const ProtocolCounters&,
                          const ProtocolCounters&) = default;
 };
 
-struct ProtocolStats {
-  // Decision paths, counted once per command at its leader.
-  std::uint64_t fast_decisions = 0;
-  std::uint64_t slow_decisions = 0;
-  std::uint64_t retries = 0;            // retry phases executed
-  std::uint64_t slow_proposals = 0;     // CAESAR slow-proposal phases
-  std::uint64_t recoveries = 0;         // recovery procedures started
+/// Every counter with its report key, in report order. operator+=,
+/// operator- and the JSON emitter walk this list, so a new counter is a
+/// field above plus one entry here.
+struct CounterField {
+  const char* name;
+  std::uint64_t ProtocolCounters::*member;
+};
+inline constexpr CounterField kCounterFields[] = {
+    {"fast_decisions", &ProtocolCounters::fast_decisions},
+    {"slow_decisions", &ProtocolCounters::slow_decisions},
+    {"retries", &ProtocolCounters::retries},
+    {"slow_proposals", &ProtocolCounters::slow_proposals},
+    {"recoveries", &ProtocolCounters::recoveries},
+    {"waits", &ProtocolCounters::waits},
+    {"catchup_requests", &ProtocolCounters::catchup_requests},
+    {"catchup_chunks", &ProtocolCounters::catchup_chunks},
+    {"catchup_commands", &ProtocolCounters::catchup_commands},
+    {"revocations", &ProtocolCounters::revocations},
+    {"wal_appends", &ProtocolCounters::wal_appends},
+    {"fsyncs", &ProtocolCounters::fsyncs},
+    {"snapshots", &ProtocolCounters::snapshots},
+    {"truncated_segments", &ProtocolCounters::truncated_segments},
+};
+static_assert(sizeof(ProtocolCounters) ==
+                  std::size(kCounterFields) * sizeof(std::uint64_t),
+              "every ProtocolCounters field needs a kCounterFields entry");
 
-  // Rejoin state transfer & dead-node revocation (see rsm/log_snapshot.h).
-  std::uint64_t catchup_requests = 0;
-  std::uint64_t catchup_chunks = 0;
-  std::uint64_t catchup_commands = 0;
-  std::uint64_t revocations = 0;
+inline ProtocolCounters& ProtocolCounters::operator+=(
+    const ProtocolCounters& o) {
+  for (const CounterField& f : kCounterFields) this->*f.member += o.*f.member;
+  return *this;
+}
 
-  // Durable storage activity (storage/durability.h), zero with storage off.
-  std::uint64_t wal_appends = 0;
-  std::uint64_t fsyncs = 0;
-  std::uint64_t snapshots = 0;
-  std::uint64_t truncated_segments = 0;
+inline ProtocolCounters ProtocolCounters::operator-(
+    const ProtocolCounters& earlier) const {
+  ProtocolCounters d;
+  for (const CounterField& f : kCounterFields) {
+    d.*f.member = this->*f.member - earlier.*f.member;
+  }
+  return d;
+}
 
+/// A protocol's counters plus its latency pools.
+struct ProtocolStats : ProtocolCounters {
   // CAESAR wait condition (Fig 11b): time proposals spend parked.
   LatencyStats wait_time;
-  std::uint64_t waits = 0;
 
   // Phase latency breakdown at the leader (Fig 11a).
   LatencyStats propose_phase;   // propose sent -> outcome known
@@ -133,26 +125,7 @@ struct ProtocolStats {
   }
 
   /// Snapshot of the plain counters (no latency pools) for window deltas.
-  ProtocolCounters counters() const {
-    ProtocolCounters c;
-    c.fast_decisions = fast_decisions;
-    c.slow_decisions = slow_decisions;
-    c.retries = retries;
-    c.slow_proposals = slow_proposals;
-    c.recoveries = recoveries;
-    c.waits = waits;
-    c.catchup_requests = catchup_requests;
-    c.catchup_chunks = catchup_chunks;
-    c.catchup_commands = catchup_commands;
-    c.revocations = revocations;
-    c.wal_appends = wal_appends;
-    c.fsyncs = fsyncs;
-    c.snapshots = snapshots;
-    c.truncated_segments = truncated_segments;
-    return c;
-  }
-
-  double slow_path_fraction() const { return counters().slow_path_fraction(); }
+  ProtocolCounters counters() const { return *this; }
 };
 
 }  // namespace caesar::stats

@@ -55,9 +55,10 @@ struct WorkloadConfig {
   std::size_t overload_queue_cap = 1024;
 };
 
-/// What the client pool submits into. The single-cluster adapter below is
-/// the classic path; shard::ShardRouter implements the same interface to
-/// route each command to its owning consensus group.
+/// What the client pool submits into. harness::run_scenario submits through
+/// shard::ShardRouter, which routes each command to its owning consensus
+/// group (a classic run has one); the single-cluster adapter below serves a
+/// pool that drives one rt::Cluster directly.
 class Frontend {
  public:
   virtual ~Frontend() = default;

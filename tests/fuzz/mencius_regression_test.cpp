@@ -15,14 +15,11 @@
 // revoked slot, and slots above the bound are never verdict-skipped.
 #include <gtest/gtest.h>
 
-#include "harness/consistency_checker.h"
+#include "harness/oracle.h"
 #include "harness/scenario.h"
 
 namespace caesar::harness {
 namespace {
-
-using caesar::testing::check_cluster_consistency;
-using caesar::testing::ConsistencyOptions;
 
 TEST(MenciusFuzzRegression, TripleFaultSeed277) {
   // Schedule reproduced verbatim from the fuzzer's repro line:

@@ -320,7 +320,7 @@ const Pin kPins[] = {
     {"sharded-hash2", kMe, 0x4b5b03fcb57ddbe4},
     {"sharded-hash4", kEp, 0x8207474b6d53fef8},
     {"sharded-range3-faults", kMe, 0x2bb02f915f91d391},
-    {"sharded-group-then-site-crash", kMe, 0x8c754c025c669abc},
+    {"sharded-group-then-site-crash", kMe, 0x20c1447a5d51dbc2},
 };
 
 INSTANTIATE_TEST_SUITE_P(

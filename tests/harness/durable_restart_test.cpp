@@ -7,14 +7,11 @@
 
 #include <string>
 
-#include "harness/consistency_checker.h"
+#include "harness/oracle.h"
 #include "harness/scenario.h"
 
 namespace caesar::harness {
 namespace {
-
-using caesar::testing::check_cluster_consistency;
-using caesar::testing::ConsistencyOptions;
 
 constexpr ConsistencyOptions kStrict{/*require_converged_stores=*/true,
                                      /*require_equal_sequences=*/true};

@@ -1,15 +1,15 @@
 // Harness-level integration tests: every protocol runs the paper's workload
 // end-to-end, stays consistent, and shows the latency relationships the
 // paper's evaluation is built on.
-#include "harness/experiment.h"
-
 #include <gtest/gtest.h>
+
+#include "harness/scenario.h"
 
 namespace caesar::harness {
 namespace {
 
-ExperimentConfig small_config(ProtocolKind kind, double conflict) {
-  ExperimentConfig cfg;
+Scenario small_scenario(ProtocolKind kind, double conflict) {
+  Scenario cfg;
   cfg.protocol = kind;
   cfg.workload.clients_per_site = 4;
   cfg.workload.conflict_fraction = conflict;
@@ -22,7 +22,7 @@ ExperimentConfig small_config(ProtocolKind kind, double conflict) {
 class AllProtocols : public ::testing::TestWithParam<ProtocolKind> {};
 
 TEST_P(AllProtocols, CompletesAndStaysConsistentNoConflicts) {
-  ExperimentResult r = run_experiment(small_config(GetParam(), 0.0));
+  RunReport r = run_scenario(small_scenario(GetParam(), 0.0));
   EXPECT_GT(r.completed, 100u) << to_string(GetParam());
   EXPECT_TRUE(r.consistent) << to_string(GetParam());
   EXPECT_GT(r.throughput_tps, 0.0);
@@ -30,14 +30,14 @@ TEST_P(AllProtocols, CompletesAndStaysConsistentNoConflicts) {
 }
 
 TEST_P(AllProtocols, CompletesAndStaysConsistentHighConflicts) {
-  ExperimentResult r = run_experiment(small_config(GetParam(), 0.5));
+  RunReport r = run_scenario(small_scenario(GetParam(), 0.5));
   EXPECT_GT(r.completed, 50u) << to_string(GetParam());
   EXPECT_TRUE(r.consistent) << to_string(GetParam());
 }
 
 TEST_P(AllProtocols, DeterministicInSeed) {
-  ExperimentResult a = run_experiment(small_config(GetParam(), 0.3));
-  ExperimentResult b = run_experiment(small_config(GetParam(), 0.3));
+  RunReport a = run_scenario(small_scenario(GetParam(), 0.3));
+  RunReport b = run_scenario(small_scenario(GetParam(), 0.3));
   EXPECT_EQ(a.completed, b.completed) << to_string(GetParam());
   EXPECT_DOUBLE_EQ(a.total_latency.mean(), b.total_latency.mean());
 }
@@ -52,7 +52,7 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(HarnessTest, SiteMetricsCoverAllFiveSites) {
-  ExperimentResult r = run_experiment(small_config(ProtocolKind::kCaesar, 0.0));
+  RunReport r = run_scenario(small_scenario(ProtocolKind::kCaesar, 0.0));
   ASSERT_EQ(r.sites.size(), 5u);
   EXPECT_EQ(r.sites[0].name, "Virginia");
   EXPECT_EQ(r.sites[4].name, "Mumbai");
@@ -64,10 +64,10 @@ TEST(HarnessTest, SiteMetricsCoverAllFiveSites) {
 TEST(HarnessTest, CaesarLatencyIsQuorumBoundNotSlowestNode) {
   // Paper Fig 7: Mencius performs as the slowest node (~RTT to Mumbai);
   // CAESAR needs only its fast quorum.
-  ExperimentResult caesar =
-      run_experiment(small_config(ProtocolKind::kCaesar, 0.0));
-  ExperimentResult mencius =
-      run_experiment(small_config(ProtocolKind::kMencius, 0.0));
+  RunReport caesar =
+      run_scenario(small_scenario(ProtocolKind::kCaesar, 0.0));
+  RunReport mencius =
+      run_scenario(small_scenario(ProtocolKind::kMencius, 0.0));
   // Virginia: CAESAR FQ reaches OH/IR/DE (max RTT 88ms), Mencius waits for
   // Mumbai-dependent slot resolution under load.
   EXPECT_LT(caesar.sites[0].latency.mean(), mencius.sites[0].latency.mean());
@@ -76,31 +76,30 @@ TEST(HarnessTest, CaesarLatencyIsQuorumBoundNotSlowestNode) {
 TEST(HarnessTest, MultiPaxosLeaderPlacementMatters) {
   // Paper Fig 7: Multi-Paxos with the leader in Mumbai is far slower than
   // with the leader in Ireland.
-  ExperimentConfig ir = small_config(ProtocolKind::kMultiPaxos, 0.0);
+  Scenario ir = small_scenario(ProtocolKind::kMultiPaxos, 0.0);
   ir.multipaxos.leader = 3;  // Ireland
-  ExperimentConfig in = small_config(ProtocolKind::kMultiPaxos, 0.0);
+  Scenario in = small_scenario(ProtocolKind::kMultiPaxos, 0.0);
   in.multipaxos.leader = 4;  // Mumbai
-  ExperimentResult r_ir = run_experiment(ir);
-  ExperimentResult r_in = run_experiment(in);
+  RunReport r_ir = run_scenario(ir);
+  RunReport r_in = run_scenario(in);
   EXPECT_LT(r_ir.total_latency.mean(), r_in.total_latency.mean());
 }
 
 TEST(HarnessTest, CaesarTakesFewerSlowPathsThanEPaxos) {
   // Paper Fig 10: at 30% conflicts CAESAR's slow-path fraction is a small
   // fraction of EPaxos'.
-  ExperimentResult caesar =
-      run_experiment(small_config(ProtocolKind::kCaesar, 0.3));
-  ExperimentResult epaxos =
-      run_experiment(small_config(ProtocolKind::kEPaxos, 0.3));
+  RunReport caesar =
+      run_scenario(small_scenario(ProtocolKind::kCaesar, 0.3));
+  RunReport epaxos =
+      run_scenario(small_scenario(ProtocolKind::kEPaxos, 0.3));
   EXPECT_LT(caesar.slow_path_pct(), epaxos.slow_path_pct());
 }
 
 TEST(HarnessTest, CrashInjectionKeepsSurvivorsConsistent) {
-  ExperimentConfig cfg = small_config(ProtocolKind::kCaesar, 0.1);
-  cfg.crash_node = 2;
-  cfg.crash_at = 2 * kSec;
+  Scenario cfg = small_scenario(ProtocolKind::kCaesar, 0.1);
+  cfg.faults.push_back(FaultEvent::Crash(2, 2 * kSec));
   cfg.fd_timeout_us = 300 * kMs;
-  ExperimentResult r = run_experiment(cfg);
+  RunReport r = run_scenario(cfg);
   EXPECT_TRUE(r.consistent);
   EXPECT_GT(r.completed, 50u);
   // Throughput must resume after the crash: completions exist late in the run.
@@ -115,19 +114,19 @@ TEST(HarnessTest, BatchingIncreasesThroughputUnderLoad) {
   // Conflict-free workload: batch-vs-batch conflicts would otherwise mask
   // the CPU effect (a 50-op batch at 2% per-op conflict almost always
   // intersects the shared pool).
-  ExperimentConfig plain = small_config(ProtocolKind::kCaesar, 0.0);
+  Scenario plain = small_scenario(ProtocolKind::kCaesar, 0.0);
   plain.workload.clients_per_site = 600;
   plain.node.base_service_us = 20;
   plain.duration = 4 * kSec;
   plain.warmup = 1 * kSec;
   plain.caesar.gossip_interval_us = 100 * kMs;  // GC: keep indexes bounded
   plain.check_consistency = false;              // keep the long run light
-  ExperimentConfig batched = plain;
+  Scenario batched = plain;
   batched.node.batching = true;
   batched.node.batch_delay_us = 3 * kMs;
   batched.node.batch_max_ops = 128;
-  ExperimentResult r_plain = run_experiment(plain);
-  ExperimentResult r_batch = run_experiment(batched);
+  RunReport r_plain = run_scenario(plain);
+  RunReport r_batch = run_scenario(batched);
   EXPECT_GT(r_batch.throughput_tps, r_plain.throughput_tps);
 }
 

@@ -7,8 +7,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "harness/consistency_checker.h"
-#include "harness/experiment.h"
+#include "harness/oracle.h"
 
 namespace caesar::harness {
 namespace {
@@ -44,11 +43,11 @@ TEST(ScenarioBuilderTest, ForkingVariantsFromCommonPrefix) {
 
 TEST(ScenarioValidationTest, RejectsOutOfRangeMultiPaxosLeader) {
   // The old harness silently indexed out of range here; now it fails fast.
-  ExperimentConfig cfg;
-  cfg.protocol = ProtocolKind::kMultiPaxos;
-  cfg.topology = net::Topology::lan(3);
-  cfg.multipaxos.leader = 3;  // only sites 0..2 exist
-  EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
+  Scenario s;
+  s.protocol = ProtocolKind::kMultiPaxos;
+  s.topology = net::Topology::lan(3);
+  s.multipaxos.leader = 3;  // only sites 0..2 exist
+  EXPECT_THROW(run_scenario(s), std::invalid_argument);
 
   EXPECT_THROW(ScenarioBuilder("t")
                    .protocol(ProtocolKind::kMultiPaxos)
@@ -59,14 +58,14 @@ TEST(ScenarioValidationTest, RejectsOutOfRangeMultiPaxosLeader) {
 }
 
 TEST(ScenarioValidationTest, AcceptsInRangeMultiPaxosLeaderOnSmallTopology) {
-  ExperimentConfig cfg;
-  cfg.protocol = ProtocolKind::kMultiPaxos;
-  cfg.topology = net::Topology::lan(3);
-  cfg.multipaxos.leader = 0;
-  cfg.workload.clients_per_site = 2;
-  cfg.duration = 2 * kSec;
-  cfg.warmup = 0;
-  ExperimentResult r = run_experiment(cfg);
+  Scenario s;
+  s.protocol = ProtocolKind::kMultiPaxos;
+  s.topology = net::Topology::lan(3);
+  s.multipaxos.leader = 0;
+  s.workload.clients_per_site = 2;
+  s.duration = 2 * kSec;
+  s.warmup = 0;
+  RunReport r = run_scenario(s);
   EXPECT_GT(r.completed, 0u);
   EXPECT_TRUE(r.consistent);
 }
@@ -135,7 +134,7 @@ TEST(ScenarioValidationTest, HandBuiltScenarioPhasesValidateInAnyOrder) {
   s.workload.clients_per_site = 2;
   s.phases = {wl::PhaseSpec::open_loop(2 * kSec, 200.0),
               wl::PhaseSpec::closed_loop(0, 2)};
-  ExperimentResult r = run_scenario(s);  // must not throw
+  RunReport r = run_scenario(s);  // must not throw
   EXPECT_GT(r.completed, 0u);
 
   // Duplicate instants are rejected even when not adjacent in the vector.
@@ -185,7 +184,7 @@ TEST(ScenarioRegistryTest, UserRegistrationsAreSelectable) {
             .build();
       }});
   ASSERT_TRUE(has_scenario("test-tiny"));
-  ExperimentResult r = run_scenario(make_scenario("test-tiny"));
+  RunReport r = run_scenario(make_scenario("test-tiny"));
   EXPECT_GT(r.completed, 0u);
 }
 
@@ -195,15 +194,15 @@ TEST(ScenarioRegistryTest, UserRegistrationsAreSelectable) {
 
 TEST(ScenarioRunTest, PartitionHealStaysConsistentAndFastPathRecovers) {
   const Scenario s = make_scenario("partition-heal");
-  ExperimentResult r = run_scenario(s);
+  RunReport r = run_scenario(s);
 
   // Delivery consistency across the partition: no two sites may disagree on
   // the per-key delivery order even while the link is cut — and the
   // stronger oracle: nobody's history omits a command from the middle
   // (partitions hold traffic, they never lose it).
   EXPECT_TRUE(r.consistent);
-  const auto verdict = testing::check_cluster_consistency(
-      r, testing::ConsistencyOptions{/*require_converged_stores=*/false,
+  const auto verdict = check_cluster_consistency(
+      r, ConsistencyOptions{/*require_converged_stores=*/false,
                                      /*require_equal_sequences=*/false});
   EXPECT_TRUE(verdict.ok) << verdict.detail;
   EXPECT_GT(r.completed, 1000u);
@@ -241,8 +240,8 @@ TEST(ScenarioRunTest, PartitionHealStaysConsistentAndFastPathRecovers) {
 
 TEST(ScenarioRunTest, PartitionHealIsDeterministicInSeed) {
   const Scenario s = make_scenario("partition-heal");
-  ExperimentResult a = run_scenario(s);
-  ExperimentResult b = run_scenario(s);
+  RunReport a = run_scenario(s);
+  RunReport b = run_scenario(s);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.submitted, b.submitted);
   EXPECT_EQ(a.messages, b.messages);
@@ -258,11 +257,11 @@ TEST(ScenarioRunTest, PartitionHealWorksForEveryProtocol) {
     Scenario s = make_scenario("partition-heal");
     s.protocol = kind;
     s.workload.clients_per_site = 3;  // keep the matrix cheap
-    ExperimentResult r = run_scenario(s);
+    RunReport r = run_scenario(s);
     EXPECT_TRUE(r.consistent) << to_string(kind);
     EXPECT_GT(r.completed, 100u) << to_string(kind);
-    const auto verdict = testing::check_cluster_consistency(
-        r, testing::ConsistencyOptions{/*require_converged_stores=*/false,
+    const auto verdict = check_cluster_consistency(
+        r, ConsistencyOptions{/*require_converged_stores=*/false,
                                        /*require_equal_sequences=*/false});
     EXPECT_TRUE(verdict.ok) << to_string(kind) << ": " << verdict.detail;
   }
@@ -274,7 +273,7 @@ TEST(ScenarioRunTest, PartitionHealWorksForEveryProtocol) {
 
 TEST(ScenarioRunTest, CrashThenRecoverRestoresThroughput) {
   const Scenario s = make_scenario("crash-recover");
-  ExperimentResult r = run_scenario(s);
+  RunReport r = run_scenario(s);
   EXPECT_TRUE(r.consistent);
   EXPECT_GT(r.completed, 1000u);
 
@@ -300,7 +299,7 @@ TEST(ScenarioRunTest, CrashRecoverResumesDeliveryForEveryProtocol) {
     Scenario s = make_scenario("crash-recover");
     s.protocol = kind;  // node 2 crashes; the MultiPaxos leader (3) does not
     s.sample_stats_at.push_back(10 * kSec);  // well after the 8s recovery
-    ExperimentResult r = run_scenario(s);
+    RunReport r = run_scenario(s);
     EXPECT_TRUE(r.consistent) << to_string(kind);
     ASSERT_EQ(r.samples.size(), 1u) << to_string(kind);
     // Real progress between 10s and the 14s end of the run.
@@ -310,8 +309,8 @@ TEST(ScenarioRunTest, CrashRecoverResumesDeliveryForEveryProtocol) {
     // (EPaxos/M2Paxos instance-space catch-up is a ROADMAP follow-up).
     if (kind == ProtocolKind::kMencius || kind == ProtocolKind::kClockRsm ||
         kind == ProtocolKind::kMultiPaxos) {
-      const auto verdict = testing::check_cluster_consistency(
-          r, testing::ConsistencyOptions{/*require_converged_stores=*/false,
+      const auto verdict = check_cluster_consistency(
+          r, ConsistencyOptions{/*require_converged_stores=*/false,
                                          /*require_equal_sequences=*/false});
       EXPECT_TRUE(verdict.ok) << to_string(kind) << ": " << verdict.detail;
     }
@@ -335,7 +334,7 @@ TEST(ScenarioRunTest, OpenLoopThroughputTracksArrivalRate) {
                    .warmup(2 * kSec)
                    .seed(3)
                    .build();
-  ExperimentResult r = run_scenario(s);
+  RunReport r = run_scenario(s);
   EXPECT_TRUE(r.consistent);
   // Completions per second in the measurement window track the configured
   // Poisson arrival rate (the system is far from saturation here).
@@ -343,7 +342,7 @@ TEST(ScenarioRunTest, OpenLoopThroughputTracksArrivalRate) {
 }
 
 TEST(ScenarioRunTest, RateSweepStepsThroughputPerPhase) {
-  ExperimentResult r = run_scenario(make_scenario("rate-sweep"));
+  RunReport r = run_scenario(make_scenario("rate-sweep"));
   EXPECT_TRUE(r.consistent);
   const auto second = [&](double s_) {
     return r.timeline.rate_at(static_cast<std::size_t>(s_ * 2));
@@ -356,34 +355,11 @@ TEST(ScenarioRunTest, RateSweepStepsThroughputPerPhase) {
 
 TEST(ScenarioRunTest, OpenLoopIsDeterministicInSeed) {
   const Scenario s = make_scenario("rate-sweep");
-  ExperimentResult a = run_scenario(s);
-  ExperimentResult b = run_scenario(s);
+  RunReport a = run_scenario(s);
+  RunReport b = run_scenario(s);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_EQ(a.submitted, b.submitted);
   EXPECT_DOUBLE_EQ(a.total_latency.mean(), b.total_latency.mean());
-}
-
-// ---------------------------------------------------------------------------
-// Compatibility shim
-// ---------------------------------------------------------------------------
-
-TEST(ExperimentShimTest, MatchesDirectScenarioRun) {
-  ExperimentConfig cfg;
-  cfg.workload.clients_per_site = 4;
-  cfg.workload.conflict_fraction = 0.2;
-  cfg.duration = 4 * kSec;
-  cfg.warmup = 1 * kSec;
-  cfg.seed = 21;
-  cfg.crash_node = 1;
-  cfg.crash_at = 2 * kSec;
-  ExperimentResult via_shim = run_experiment(cfg);
-  ExperimentResult via_scenario = run_scenario(to_scenario(cfg));
-  EXPECT_EQ(via_shim.completed, via_scenario.completed);
-  EXPECT_EQ(via_shim.submitted, via_scenario.submitted);
-  EXPECT_EQ(via_shim.messages, via_scenario.messages);
-  EXPECT_DOUBLE_EQ(via_shim.total_latency.mean(),
-                   via_scenario.total_latency.mean());
-  EXPECT_TRUE(via_shim.consistent);
 }
 
 }  // namespace

@@ -5,14 +5,11 @@
 // past a node that never returns instead of wedging behind it.
 #include <gtest/gtest.h>
 
-#include "harness/consistency_checker.h"
+#include "harness/oracle.h"
 #include "harness/scenario.h"
 
 namespace caesar::harness {
 namespace {
-
-using caesar::testing::check_cluster_consistency;
-using caesar::testing::ConsistencyOptions;
 
 /// Total-order protocols after a quiesce tail must agree on everything.
 constexpr ConsistencyOptions kStrict{/*require_converged_stores=*/true,

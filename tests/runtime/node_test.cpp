@@ -4,14 +4,16 @@
 
 #include <map>
 #include <set>
+#include <stdexcept>
 
 #include "runtime/cluster.h"
 
 namespace caesar::rt {
 namespace {
 
-/// Test protocol: echoes every proposal to all peers; peers deliver on
-/// receipt; also exposes hooks for timer and CPU-charging tests.
+/// Test protocol: echoes every proposal to all peers through the framed
+/// env.encoder() path the real protocols use; peers deliver on receipt;
+/// also exposes hooks for timer and CPU-charging tests.
 class EchoProtocol final : public Protocol {
  public:
   EchoProtocol(Env& env, DeliverFn deliver, Time charge = 0)
@@ -19,7 +21,7 @@ class EchoProtocol final : public Protocol {
 
   void propose(rsm::Command cmd) override {
     proposed.push_back(cmd);
-    net::Encoder e;
+    net::Encoder e = env_.encoder();
     cmd.encode(e);
     env_.broadcast(1, std::move(e), /*include_self=*/true);
   }
@@ -353,55 +355,33 @@ TEST(NodeTest, TimersDoNotFireAfterCrash) {
 // Pooled send path
 // ---------------------------------------------------------------------------
 
-/// Like EchoProtocol, but encodes through env.encoder() — the zero-copy
-/// framed path the real protocols use.
-class PooledEchoProtocol final : public Protocol {
- public:
-  PooledEchoProtocol(Env& env, DeliverFn deliver)
-      : Protocol(env, std::move(deliver)) {}
-
-  void propose(rsm::Command cmd) override {
-    net::Encoder e = env_.encoder();
-    cmd.encode(e);
-    env_.broadcast(1, std::move(e), /*include_self=*/true);
-  }
-
-  void on_message(NodeId from, std::uint16_t type, net::Decoder& d) override {
-    (void)from;
-    ASSERT_EQ(type, 1);
-    deliver_(rsm::Command::decode(d));
-  }
-
-  std::string_view name() const override { return "PooledEcho"; }
-};
-
 TEST(NodeTest, PooledEncoderRoundTripsAndRecyclesBuffers) {
-  sim::Simulator sim(7);
-  std::map<NodeId, std::vector<rsm::Command>> delivered;
-  Cluster cluster(
-      sim, net::Topology::lan(3), ClusterConfig{},
-      [](Env& env, Protocol::DeliverFn deliver) {
-        return std::make_unique<PooledEchoProtocol>(env, std::move(deliver));
-      },
-      [&](NodeId node, const rsm::Command& cmd) {
-        delivered[node].push_back(cmd);
-      });
+  Fixture f(3);
   for (int i = 0; i < 20; ++i) {
-    rsm::Command c;
-    c.ops.push_back(rsm::Op{static_cast<Key>(i), 1, 0});
-    cluster.node(0).submit(std::move(c));
-    sim.run();
+    f.cluster->node(0).submit(f.one_op_cmd(static_cast<Key>(i)));
+    f.sim.run();
   }
   // Every node decoded every message intact through the pooled frames.
   for (NodeId n = 0; n < 3; ++n) {
-    ASSERT_EQ(delivered[n].size(), 20u) << "node " << n;
+    ASSERT_EQ(f.delivered[n].size(), 20u) << "node " << n;
     for (int i = 0; i < 20; ++i) {
-      EXPECT_EQ(delivered[n][static_cast<std::size_t>(i)].ops[0].key,
+      EXPECT_EQ(f.delivered[n][static_cast<std::size_t>(i)].ops[0].key,
                 static_cast<Key>(i));
     }
   }
   // Steady state reuses released buffers instead of allocating fresh ones.
-  EXPECT_GT(cluster.node(0).buffer_pool().reuses(), 0u);
+  EXPECT_GT(f.cluster->node(0).buffer_pool().reuses(), 0u);
+}
+
+TEST(NodeTest, SendRejectsBodyWithoutFrameHeader) {
+  // Stamping the type tag into an unframed body would overwrite its first
+  // payload bytes, so the runtime refuses it outright.
+  Fixture f(2);
+  net::Encoder plain;
+  plain.put_u64(42);
+  EXPECT_THROW(f.cluster->node(0).send(1, 1, plain), std::logic_error);
+  EXPECT_THROW(f.cluster->node(0).broadcast(1, plain, /*include_self=*/true),
+               std::logic_error);
 }
 
 }  // namespace

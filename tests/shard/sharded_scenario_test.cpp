@@ -1,4 +1,4 @@
-// Sharded scenario runner tests: per-group rollups sum to the run totals,
+// Sharded scenario tests: per-group rollups sum to the run totals,
 // the JSON report carries the router/shards sections (and classic runs do
 // not), same seed reproduces the same bytes, multiple groups outscale one,
 // and asymmetric group-scoped faults leave the other groups running while
@@ -223,6 +223,15 @@ TEST(ShardedScenarioTest, ValidationRejectsFaultGroupOutOfRange) {
                    .topology(net::Topology::lan(3))
                    .shards(2)
                    .crash_in_group(-2, 0, 1 * kSec)
+                   .duration(3 * kSec)
+                   .warmup(0)
+                   .build(),
+               std::invalid_argument);
+  // An unsharded scenario has no group to scope a fault to: a group-0 crash
+  // would take the site's only replica down behind the client pool's back.
+  EXPECT_THROW(ScenarioBuilder("bad")
+                   .topology(net::Topology::lan(3))
+                   .crash_in_group(0, 0, 1 * kSec)
                    .duration(3 * kSec)
                    .warmup(0)
                    .build(),
