@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
   harness::JsonReportFile json("fig10", argc, argv);
   harness::print_figure_header(
       "Figure 10", "% of commands delivered via a slow decision",
-      "EPaxos slow%% ~ conflict%%; CAESAR several times lower "
+      "EPaxos slow% ~ conflict%; CAESAR several times lower "
       "(>=3x fewer slow paths at 30%)");
 
   Table t({"conflict%", "Caesar slow%", "EPaxos slow%", "ratio(EP/Caesar)",

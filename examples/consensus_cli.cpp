@@ -1,23 +1,24 @@
 // consensus_cli: a small command-line driver over the scenario harness so
 // downstream users can explore the protocol space without writing C++.
 //
-//   $ ./examples/consensus_cli --protocol=caesar --conflict=30 \
-//         --clients=50 --duration=10 --batching --seed=7
+//   $ ./examples/consensus_cli --set protocol=epaxos --set conflict_pct=30
 //   $ ./examples/consensus_cli --scenario=partition-heal
+//   $ ./examples/consensus_cli --scenario=saturation \
+//         --set node.batching=false
 //   $ ./examples/consensus_cli --scenario=rate-sweep --json=run.json
 //   $ ./examples/consensus_cli --list-scenarios
 //
 // Prints per-site latency, per-window metrics, throughput, decision-path
 // statistics and the cross-site consistency verdict; --json additionally
-// writes the full RunReport as a schema-stable JSON document. With
-// --scenario the run starts from a registered scenario (fault schedule and
-// workload phases included) and the remaining flags act as overrides.
-#include <cstdlib>
+// writes the full RunReport as a schema-stable JSON document. The run
+// starts from the `quickstart` scenario, or from --scenario/--scenario-file;
+// each --set then overrides one knob, whatever the argument order.
 #include <cstring>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "harness/report.h"
 #include "harness/scenario.h"
@@ -27,238 +28,82 @@ using namespace caesar;
 
 namespace {
 
-std::optional<harness::ProtocolKind> parse_protocol(const std::string& name) {
-  if (name == "caesar") return harness::ProtocolKind::kCaesar;
-  if (name == "epaxos") return harness::ProtocolKind::kEPaxos;
-  if (name == "m2paxos") return harness::ProtocolKind::kM2Paxos;
-  if (name == "mencius") return harness::ProtocolKind::kMencius;
-  if (name == "multipaxos") return harness::ProtocolKind::kMultiPaxos;
-  if (name == "clockrsm") return harness::ProtocolKind::kClockRsm;
-  return std::nullopt;
-}
-
 void usage() {
   std::cout <<
       "usage: consensus_cli [options]\n"
-      "  --scenario=NAME   start from a registered scenario (see\n"
-      "                    --list-scenarios); other flags override it\n"
-      "  --scenario-file=F start from a JSON scenario file (see\n"
-      "                    src/harness/scenario_file.h for the schema);\n"
-      "                    other flags override it\n"
-      "  --list-scenarios  print the scenario registry and exit\n"
-      "  --protocol=NAME   caesar|epaxos|m2paxos|mencius|multipaxos|clockrsm\n"
-      "                    (default caesar)\n"
-      "  --conflict=PCT    conflicting-command percentage (default 10)\n"
-      "  --clients=N       closed-loop clients per site (default 10)\n"
-      "  --rate=TPS        open-loop Poisson arrivals/s instead of closed loop\n"
-      "  --duration=SEC    simulated seconds (default 10)\n"
-      "  --seed=N          simulation seed (default 1)\n"
-      "  --leader=SITE     Multi-Paxos leader site index (default 3=Ireland)\n"
-      "  --batching        enable request batching (accumulate-while-busy)\n"
-      "  --no-batching     disable batching a scenario turned on\n"
-      "  --batch-delay-us=T  max time a command waits in the batcher\n"
-      "  --batch-max-ops=N batch size cap in ops (forces a flush)\n"
-      "  --pipeline=W      open proposals per node before waiting on\n"
-      "                    delivery (default 1 = stop-and-wait)\n"
-      "  --coalescing      merge same-destination frames sent within one\n"
-      "                    CPU turn into a single wire envelope\n"
-      "  --no-coalescing   disable coalescing a scenario turned on\n"
-      "  --max-inflight=N  open-loop flow control: per-site in-flight cap\n"
-      "                    (0 = unlimited)\n"
-      "  --overload-policy=P  what to do over the cap: shed|queue\n"
-      "                    (default queue)\n"
-      "  --no-wait         CAESAR ablation: disable the wait condition\n"
-      "  --shards=N        run N consensus groups over a hash-partitioned\n"
-      "                    keyspace (1 = classic single group)\n"
-      "  --crash=SITE      crash this site halfway through the run\n"
-      "  --data-dir=DIR    enable durable storage (WAL + snapshots) under DIR;\n"
-      "                    required by scenarios with power-loss/restart faults\n"
-      "  --sync-mode=MODE  WAL group-commit policy: none|batched|always\n"
-      "                    (default batched; needs --data-dir)\n"
-      "  --window=SEC      fixed metrics-window width (default: per-phase)\n"
-      "  --json=FILE       also write the run report as JSON to FILE\n";
+      "  --scenario=NAME    start from a registered scenario (default\n"
+      "                     quickstart; see --list-scenarios)\n"
+      "  --scenario-file=F  start from a JSON scenario file\n"
+      "  --set KEY=VALUE    override one knob; repeatable, applied after\n"
+      "                     the scenario. KEY is a scenario-file key,\n"
+      "                     dotted inside a section (node.batching);\n"
+      "                     VALUE is JSON, or else a plain string. The\n"
+      "                     keys are listed in src/harness/scenario_file.h\n"
+      "  --list-scenarios   print the scenario registry and exit\n"
+      "  --json=FILE        also write the run report as JSON to FILE\n";
+}
+
+std::optional<std::string> value_of(const std::string& arg,
+                                    const char* prefix) {
+  if (arg.rfind(prefix, 0) != 0) return std::nullopt;
+  return arg.substr(std::strlen(prefix));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string json_path;
-  bool sync_mode_set = false;
+  std::vector<std::string> sets;
   harness::Scenario s;
-  s.name = "cli";
-  s.workload.conflict_fraction = 0.10;
-  s.duration = 10 * kSec;
-  s.warmup = 2 * kSec;
-  s.caesar.gossip_interval_us = 200 * kMs;
-
-  // --list-scenarios / --scenario come first: the scenario forms the base
-  // configuration the remaining flags then override.
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--list-scenarios") {
-      harness::Table t({"scenario", "description"});
-      for (const auto& info : harness::list_scenarios()) {
-        t.add_row({info.name, info.description});
-      }
-      t.print();
-      return 0;
-    }
-    if (arg.rfind("--scenario=", 0) == 0) {
-      try {
-        s = harness::make_scenario(arg.substr(std::strlen("--scenario=")));
-      } catch (const std::invalid_argument& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
-    }
-    if (arg.rfind("--scenario-file=", 0) == 0) {
-      try {
-        s = harness::load_scenario_file(
-            arg.substr(std::strlen("--scenario-file=")));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
-    }
-  }
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value_of = [&](const char* prefix) -> std::optional<std::string> {
-      const std::size_t len = std::strlen(prefix);
-      if (arg.rfind(prefix, 0) == 0) return arg.substr(len);
-      return std::nullopt;
-    };
-    if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (arg == "--list-scenarios" || value_of("--scenario=") ||
-               value_of("--scenario-file=")) {
-      // handled in the first pass
-    } else if (auto v = value_of("--shards=")) {
-      s.shards.count = static_cast<std::uint32_t>(std::atoi(v->c_str()));
-      if (s.workload.key_dist.dist == wl::KeyDist::kPaperConflict &&
-          s.shards.count > 1) {
-        // The paper-conflict chooser funnels everything onto key 0; give a
-        // multi-group run a spreadable keyspace instead.
-        s.workload.key_dist.dist = wl::KeyDist::kUniform;
-      }
-    } else if (auto v = value_of("--protocol=")) {
-      auto kind = parse_protocol(*v);
-      if (!kind) {
-        std::cerr << "unknown protocol: " << *v << "\n";
-        return 2;
-      }
-      s.protocol = *kind;
-    } else if (auto v = value_of("--conflict=")) {
-      s.workload.conflict_fraction = std::atof(v->c_str()) / 100.0;
-    } else if (auto v = value_of("--clients=")) {
-      s.workload.clients_per_site =
-          static_cast<std::uint32_t>(std::atoi(v->c_str()));
-      s.phases.clear();  // back to the default single closed-loop phase
-    } else if (auto v = value_of("--rate=")) {
-      s.phases = {wl::PhaseSpec::open_loop(0, std::atof(v->c_str()))};
-    } else if (auto v = value_of("--duration=")) {
-      s.duration = static_cast<Time>(std::atof(v->c_str()) * kSec);
-      s.warmup = s.duration / 5;
-    } else if (auto v = value_of("--seed=")) {
-      s.seed = static_cast<std::uint64_t>(std::atoll(v->c_str()));
-    } else if (auto v = value_of("--leader=")) {
-      s.multipaxos.leader = static_cast<NodeId>(std::atoi(v->c_str()));
-    } else if (arg == "--batching") {
-      s.node.batching = true;
-    } else if (arg == "--no-batching") {
-      s.node.batching = false;
-    } else if (auto v = value_of("--batch-delay-us=")) {
-      s.node.batch_delay_us = static_cast<Time>(std::atoll(v->c_str()));
-    } else if (auto v = value_of("--batch-max-ops=")) {
-      s.node.batch_max_ops = static_cast<std::size_t>(std::atoll(v->c_str()));
-    } else if (auto v = value_of("--pipeline=")) {
-      s.node.pipeline_window = static_cast<std::size_t>(std::atoll(v->c_str()));
-    } else if (arg == "--coalescing") {
-      s.node.coalescing = true;
-    } else if (arg == "--no-coalescing") {
-      s.node.coalescing = false;
-    } else if (auto v = value_of("--max-inflight=")) {
-      s.workload.max_inflight =
-          static_cast<std::uint32_t>(std::atoll(v->c_str()));
-    } else if (auto v = value_of("--overload-policy=")) {
-      if (*v == "shed") {
-        s.workload.overload_policy = wl::OverloadPolicy::kShed;
-      } else if (*v == "queue") {
-        s.workload.overload_policy = wl::OverloadPolicy::kQueue;
+  try {
+    s = harness::make_scenario("quickstart");
+    for (int i = 1; i < argc; ++i) {
+      const std::string arg = argv[i];
+      const bool has_next = i + 1 < argc;
+      if (arg == "--help" || arg == "-h") {
+        usage();
+        return 0;
+      } else if (arg == "--list-scenarios") {
+        harness::Table t({"scenario", "description"});
+        for (const auto& info : harness::list_scenarios()) {
+          t.add_row({info.name, info.description});
+        }
+        t.print();
+        return 0;
+      } else if (auto v = value_of(arg, "--scenario=")) {
+        s = harness::make_scenario(*v);
+      } else if (auto v = value_of(arg, "--scenario-file=")) {
+        s = harness::load_scenario_file(*v);
+      } else if (auto v = value_of(arg, "--set=")) {
+        sets.push_back(*v);
+      } else if (arg == "--set" && has_next) {
+        sets.push_back(argv[++i]);
+      } else if (auto v = value_of(arg, "--json=")) {
+        json_path = *v;
+      } else if (arg == "--json" && has_next) {
+        json_path = argv[++i];
       } else {
-        std::cerr << "unknown overload policy: " << *v
-                  << " (expected shed|queue)\n";
+        std::cerr << "unknown option: " << arg << "\n";
+        usage();
         return 2;
       }
-    } else if (arg == "--no-wait") {
-      s.caesar.wait_enabled = false;
-    } else if (auto v = value_of("--window=")) {
-      s.metrics_window_us = static_cast<Time>(std::atof(v->c_str()) * kSec);
-    } else if (auto v = value_of("--json=")) {
-      json_path = *v;
-    } else if (arg == "--json") {
-      if (i + 1 >= argc) {
-        std::cerr << "--json requires a file path\n";
-        return 2;
-      }
-      json_path = argv[++i];
-    } else if (auto v = value_of("--crash=")) {
-      s.faults.push_back(harness::FaultEvent::Crash(
-          static_cast<NodeId>(std::atoi(v->c_str())), s.duration / 2));
-    } else if (auto v = value_of("--data-dir=")) {
-      if (v->empty()) {
-        std::cerr << "--data-dir requires a directory path\n";
-        return 2;
-      }
-      s.storage.data_dir = *v;
-    } else if (auto v = value_of("--sync-mode=")) {
-      try {
-        s.storage.sync_mode = storage::parse_sync_mode(*v);
-      } catch (const std::invalid_argument& e) {
-        std::cerr << e.what() << "\n";
-        return 2;
-      }
-      sync_mode_set = true;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage();
-      return 2;
     }
-  }
-
-  if (sync_mode_set && !s.storage.enabled()) {
-    std::cerr << "--sync-mode has no effect without --data-dir (or a "
-                 "scenario that sets one)\n";
+    for (const std::string& kv : sets) {
+      const std::size_t eq = kv.find('=');
+      if (eq == std::string::npos) {
+        throw std::invalid_argument("--set " + kv + ": expected KEY=VALUE");
+      }
+      harness::set_scenario_knob(s, kv.substr(0, eq), kv.substr(eq + 1));
+    }
+    s = harness::ScenarioBuilder(s).build();
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
     return 2;
   }
 
   std::cout << "scenario=" << s.name << " protocol=" << to_string(s.protocol)
-            << " conflict=" << s.workload.conflict_fraction * 100 << "%"
-            << " clients/site=" << s.workload.clients_per_site
-            << " duration=" << s.duration / kSec << "s seed=" << s.seed
-            << (s.node.batching ? " batching" : "")
-            << (s.node.coalescing ? " coalescing" : "")
-            << (s.caesar.wait_enabled ? "" : " no-wait");
-  if (s.node.pipeline_window > 1) {
-    std::cout << " pipeline=" << s.node.pipeline_window;
-  }
-  if (s.workload.max_inflight > 0) {
-    std::cout << " max-inflight=" << s.workload.max_inflight << "("
-              << (s.workload.overload_policy == wl::OverloadPolicy::kShed
-                      ? "shed"
-                      : "queue")
-              << ")";
-  }
-  if (s.shards.sharded()) {
-    std::cout << " shards=" << s.shards.count << "("
-              << to_string(s.shards.partition) << ")";
-  }
-  if (s.storage.enabled()) {
-    std::cout << " data-dir=" << s.storage.data_dir
-              << " sync-mode=" << storage::to_string(s.storage.sync_mode);
-  }
+            << " seed=" << s.seed;
+  for (const std::string& kv : sets) std::cout << " " << kv;
   std::cout << "\n";
   for (const auto& e : s.faults) std::cout << "fault: " << to_string(e) << "\n";
   std::cout << "\n";

@@ -195,14 +195,6 @@ ScenarioBuilder& ScenarioBuilder::conflicts(double fraction) {
   s_.workload.conflict_fraction = fraction;
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::think_time(Time v) {
-  s_.workload.think_us = v;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::key_dist(wl::KeyDistConfig v) {
-  s_.workload.key_dist = v;
-  return *this;
-}
 ScenarioBuilder& ScenarioBuilder::uniform_keys(std::uint64_t keyspace) {
   s_.workload.key_dist.dist = wl::KeyDist::kUniform;
   s_.workload.key_dist.keyspace = keyspace;
@@ -214,29 +206,12 @@ ScenarioBuilder& ScenarioBuilder::zipfian(double theta, std::uint64_t keyspace) 
   s_.workload.key_dist.keyspace = keyspace;
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::hot_key(double hot_fraction,
-                                          std::uint64_t hot_keys,
-                                          std::uint64_t keyspace) {
-  s_.workload.key_dist.dist = wl::KeyDist::kHotKey;
-  s_.workload.key_dist.hot_fraction = hot_fraction;
-  s_.workload.key_dist.hot_keys = hot_keys;
-  s_.workload.key_dist.keyspace = keyspace;
-  return *this;
-}
 ScenarioBuilder& ScenarioBuilder::shards(std::uint32_t count,
                                          shard::Partition partition) {
   s_.shards.count = count;
   s_.shards.partition = partition;
   // Range partitioning splits the workload's configured keyspace by default.
   s_.shards.range_keyspace = s_.workload.key_dist.keyspace;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::shard_spec(shard::ShardSpec v) {
-  s_.shards = v;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::multi_key_policy(shard::MultiKeyPolicy v) {
-  s_.shards.multi_key = v;
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::closed_loop(Time at,
@@ -282,10 +257,6 @@ ScenarioBuilder& ScenarioBuilder::restart(NodeId node, Time at) {
   s_.faults.push_back(FaultEvent::Restart(node, at));
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::fault(FaultEvent e) {
-  s_.faults.push_back(e);
-  return *this;
-}
 ScenarioBuilder& ScenarioBuilder::crash_in_group(std::int32_t group,
                                                  NodeId node, Time at) {
   FaultEvent e = FaultEvent::Crash(node, at);
@@ -296,13 +267,6 @@ ScenarioBuilder& ScenarioBuilder::crash_in_group(std::int32_t group,
 ScenarioBuilder& ScenarioBuilder::recover_in_group(std::int32_t group,
                                                    NodeId node, Time at) {
   FaultEvent e = FaultEvent::Recover(node, at);
-  e.group = group;
-  s_.faults.push_back(e);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::restart_in_group(std::int32_t group,
-                                                   NodeId node, Time at) {
-  FaultEvent e = FaultEvent::Restart(node, at);
   e.group = group;
   s_.faults.push_back(e);
   return *this;
@@ -322,15 +286,11 @@ ScenarioBuilder& ScenarioBuilder::heal_in_group(std::int32_t group, NodeId a,
   s_.faults.push_back(e);
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::storage(caesar::storage::StorageConfig v) {
-  s_.storage = std::move(v);
-  return *this;
-}
 ScenarioBuilder& ScenarioBuilder::data_dir(std::string v) {
   s_.storage.data_dir = std::move(v);
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::sync_mode(caesar::storage::SyncMode v) {
+ScenarioBuilder& ScenarioBuilder::sync_mode(storage::SyncMode v) {
   s_.storage.sync_mode = v;
   return *this;
 }
@@ -342,20 +302,8 @@ ScenarioBuilder& ScenarioBuilder::epaxos(epaxos::EPaxosConfig v) {
   s_.epaxos = v;
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::m2paxos(m2paxos::M2PaxosConfig v) {
-  s_.m2paxos = v;
-  return *this;
-}
 ScenarioBuilder& ScenarioBuilder::mencius(mencius::MenciusConfig v) {
   s_.mencius = v;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::clockrsm(clockrsm::ClockRsmConfig v) {
-  s_.clockrsm = v;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::multipaxos(mpaxos::MultiPaxosConfig v) {
-  s_.multipaxos = v;
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::multipaxos_leader(NodeId leader) {
@@ -491,6 +439,12 @@ void validate_scenario(const Scenario& s) {
     os << "caesar.fast_quorum_override=" << s.caesar.fast_quorum_override
        << " exceeds the topology's " << n << " sites";
     fail(s, os.str());
+  }
+
+  if (s.storage.sync_mode != storage::SyncMode::kBatched &&
+      !s.storage.enabled()) {
+    fail(s, "storage.sync_mode=" + storage::to_string(s.storage.sync_mode) +
+                " needs storage.data_dir; without it nothing is written");
   }
 
   for (const FaultEvent& e : s.faults) {

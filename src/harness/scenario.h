@@ -179,21 +179,15 @@ class ScenarioBuilder {
   ScenarioBuilder& workload(wl::WorkloadConfig v);
   ScenarioBuilder& clients_per_site(std::uint32_t v);
   ScenarioBuilder& conflicts(double fraction);
-  ScenarioBuilder& think_time(Time v);
-  /// Key distribution over a global keyspace (uniform/Zipfian/hot-key);
-  /// the default stays the paper's conflict model.
-  ScenarioBuilder& key_dist(wl::KeyDistConfig v);
+  /// Key distribution over a global keyspace (uniform/Zipfian); the
+  /// default stays the paper's conflict model.
   ScenarioBuilder& uniform_keys(std::uint64_t keyspace);
   ScenarioBuilder& zipfian(double theta, std::uint64_t keyspace);
-  ScenarioBuilder& hot_key(double hot_fraction, std::uint64_t hot_keys,
-                           std::uint64_t keyspace);
 
   // Sharding.
   /// Partitions the keyspace across `count` independent consensus groups.
   ScenarioBuilder& shards(std::uint32_t count,
                           shard::Partition partition = shard::Partition::kHash);
-  ScenarioBuilder& shard_spec(shard::ShardSpec v);
-  ScenarioBuilder& multi_key_policy(shard::MultiKeyPolicy v);
   /// Appends a closed-loop phase starting at `at`.
   ScenarioBuilder& closed_loop(Time at, std::uint32_t clients_per_site,
                                Time think_us = 0);
@@ -218,30 +212,23 @@ class ScenarioBuilder {
   ScenarioBuilder& power_loss(Time at);
   /// Restart-from-disk of a crashed node (requires data_dir()).
   ScenarioBuilder& restart(NodeId node, Time at);
-  ScenarioBuilder& fault(FaultEvent e);
   // Group-scoped faults (sharded scenarios only): hit one consensus group's
   // replica while the site's other groups keep running.
   ScenarioBuilder& crash_in_group(std::int32_t group, NodeId node, Time at);
   ScenarioBuilder& recover_in_group(std::int32_t group, NodeId node, Time at);
-  ScenarioBuilder& restart_in_group(std::int32_t group, NodeId node, Time at);
   ScenarioBuilder& partition_in_group(std::int32_t group, NodeId a, NodeId b,
                                       Time at);
   ScenarioBuilder& heal_in_group(std::int32_t group, NodeId a, NodeId b,
                                  Time at);
 
-  // Durable storage. (Qualified types: the `storage` member function hides
-  // the namespace for the rest of the class.)
-  ScenarioBuilder& storage(caesar::storage::StorageConfig v);
+  // Durable storage.
   ScenarioBuilder& data_dir(std::string v);
-  ScenarioBuilder& sync_mode(caesar::storage::SyncMode v);
+  ScenarioBuilder& sync_mode(storage::SyncMode v);
 
   // Protocol knobs.
   ScenarioBuilder& caesar(core::CaesarConfig v);
   ScenarioBuilder& epaxos(epaxos::EPaxosConfig v);
-  ScenarioBuilder& m2paxos(m2paxos::M2PaxosConfig v);
   ScenarioBuilder& mencius(mencius::MenciusConfig v);
-  ScenarioBuilder& clockrsm(clockrsm::ClockRsmConfig v);
-  ScenarioBuilder& multipaxos(mpaxos::MultiPaxosConfig v);
   ScenarioBuilder& multipaxos_leader(NodeId leader);
 
   ScenarioBuilder& check_consistency(bool v);

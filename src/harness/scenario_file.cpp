@@ -1,11 +1,14 @@
 #include "harness/scenario_file.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -221,9 +224,6 @@ class JsonParser {
 
   JsonValue number() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
-      ++pos_;
-    }
     while (pos_ < text_.size() &&
            (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
             text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
@@ -233,9 +233,12 @@ class JsonParser {
     if (pos_ == start) fail("expected a JSON value");
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
-    try {
-      v.number = std::stod(std::string(text_.substr(start, pos_ - start)));
-    } catch (const std::exception&) {
+    // The whole token must be one number ("1-2" is not 1). from_chars
+    // rejects a leading '+', as JSON does.
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    const auto [end, ec] = std::from_chars(first, last, v.number);
+    if (ec != std::errc() || end != last) {
       pos_ = start;
       fail("malformed number");
     }
@@ -248,388 +251,347 @@ class JsonParser {
 };
 
 // ---------------------------------------------------------------------------
-// JSON -> Scenario translation. Every accessor names the field it is reading
-// so type and range errors point at the exact offending entry.
+// JSON -> Scenario: one table row per knob. A Field is one JSON value on its
+// way into a Scenario member; its readers check the JSON type, the member's
+// integer range, the key's unit and enum names, and every error names the
+// field path ("faults[1].kind").
 // ---------------------------------------------------------------------------
 
-class ScenarioTranslator {
- public:
-  explicit ScenarioTranslator(std::string_view origin) : origin_(origin) {}
+/// One {name, value} pair of an enum-valued key.
+template <typename E>
+using Name = std::pair<std::string_view, E>;
 
-  Scenario translate(const JsonValue& root) {
-    if (root.kind != JsonValue::Kind::kObject) {
-      fail("", "top level must be a JSON object");
-    }
-    Scenario s;
-    // "base" first regardless of key order: later fields override it.
-    if (const JsonValue* base = root.find("base")) {
-      s = make_scenario(as_string(*base, "base"));
-    }
-    for (const auto& [key, v] : root.object) {
-      apply_field(s, key, v);
-    }
-    return ScenarioBuilder(std::move(s)).build();
-  }
+struct Field {
+  const JsonValue& v;
+  std::string path;
+  std::string_view origin;
 
- private:
-  [[noreturn]] void fail(const std::string& field,
-                         const std::string& what) const {
+  [[noreturn]] void fail(const std::string& what) const {
     std::ostringstream os;
-    os << "scenario file " << origin_ << ": ";
-    if (!field.empty()) os << "field \"" << field << "\": ";
+    os << origin << ": ";
+    if (!path.empty()) os << "field \"" << path << "\": ";
     os << what;
     throw std::invalid_argument(os.str());
   }
 
-  double as_number(const JsonValue& v, const std::string& field) const {
-    if (v.kind != JsonValue::Kind::kNumber) fail(field, "expected a number");
+  /// Reads a bool, string, integer or double into `out`. An integer must be
+  /// a whole number that `out` holds exactly.
+  template <typename T>
+  void read(T& out) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (v.kind != JsonValue::Kind::kBool) fail("expected true or false");
+      out = v.boolean;
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (v.kind != JsonValue::Kind::kString) fail("expected a string");
+      out = v.string;
+    } else if constexpr (std::is_integral_v<T>) {
+      const double d = number();
+      if (!fits<T>(d)) {
+        fail("expected an integer in [" +
+             std::to_string(std::numeric_limits<T>::min()) + ", " +
+             std::to_string(std::numeric_limits<T>::max()) + "]");
+      }
+      out = static_cast<T>(d);
+    } else {
+      out = number();
+    }
+  }
+
+  /// A time written in units of `unit` microseconds (a "_s" or "_ms" key),
+  /// rounded to the nearest microsecond.
+  Time time(Time unit) const {
+    const double us = std::round(number() * static_cast<double>(unit));
+    if (!fits<Time>(us)) fail("time out of range");
+    return static_cast<Time>(us);
+  }
+
+  std::string string() const {
+    std::string out;
+    read(out);
+    return out;
+  }
+
+  double number() const {
+    if (v.kind != JsonValue::Kind::kNumber) fail("expected a number");
     return v.number;
   }
 
-  std::int64_t as_int(const JsonValue& v, const std::string& field) const {
-    const double d = as_number(v, field);
-    if (d != std::floor(d)) fail(field, "expected an integer");
-    return static_cast<std::int64_t>(d);
-  }
-
-  std::uint64_t as_uint(const JsonValue& v, const std::string& field) const {
-    const std::int64_t i = as_int(v, field);
-    if (i < 0) fail(field, "expected a non-negative integer");
-    return static_cast<std::uint64_t>(i);
-  }
-
-  bool as_bool(const JsonValue& v, const std::string& field) const {
-    if (v.kind != JsonValue::Kind::kBool) fail(field, "expected true or false");
-    return v.boolean;
-  }
-
-  const std::string& as_string(const JsonValue& v,
-                               const std::string& field) const {
-    if (v.kind != JsonValue::Kind::kString) fail(field, "expected a string");
-    return v.string;
-  }
-
-  Time as_seconds(const JsonValue& v, const std::string& field) const {
-    return static_cast<Time>(
-        std::llround(as_number(v, field) * static_cast<double>(kSec)));
-  }
-
-  Time as_millis(const JsonValue& v, const std::string& field) const {
-    return static_cast<Time>(
-        std::llround(as_number(v, field) * static_cast<double>(kMs)));
-  }
-
-  NodeId as_node(const JsonValue& v, const std::string& field) const {
-    return static_cast<NodeId>(as_uint(v, field));
-  }
-
-  ProtocolKind parse_protocol(const std::string& name,
-                              const std::string& field) const {
-    if (name == "caesar") return ProtocolKind::kCaesar;
-    if (name == "epaxos") return ProtocolKind::kEPaxos;
-    if (name == "m2paxos") return ProtocolKind::kM2Paxos;
-    if (name == "mencius") return ProtocolKind::kMencius;
-    if (name == "multipaxos") return ProtocolKind::kMultiPaxos;
-    if (name == "clockrsm") return ProtocolKind::kClockRsm;
-    fail(field, "unknown protocol \"" + name +
-                    "\" (expected caesar|epaxos|m2paxos|mencius|multipaxos|"
-                    "clockrsm)");
-  }
-
-  void apply_shards(Scenario& s, const JsonValue& v) const {
-    if (v.kind != JsonValue::Kind::kObject) fail("shards", "expected an object");
-    for (const auto& [key, f] : v.object) {
-      const std::string field = "shards." + key;
-      if (key == "count") {
-        s.shards.count = static_cast<std::uint32_t>(as_uint(f, field));
-      } else if (key == "partition") {
-        const std::string& p = as_string(f, field);
-        if (p == "hash") {
-          s.shards.partition = shard::Partition::kHash;
-        } else if (p == "range") {
-          s.shards.partition = shard::Partition::kRange;
-        } else {
-          fail(field, "expected \"hash\" or \"range\", got \"" + p + "\"");
-        }
-      } else if (key == "multi_key") {
-        const std::string& p = as_string(f, field);
-        if (p == "pin-first-key") {
-          s.shards.multi_key = shard::MultiKeyPolicy::kPinFirstKey;
-        } else if (p == "reject") {
-          s.shards.multi_key = shard::MultiKeyPolicy::kReject;
-        } else {
-          fail(field,
-               "expected \"pin-first-key\" or \"reject\", got \"" + p + "\"");
-        }
-      } else if (key == "range_keyspace") {
-        s.shards.range_keyspace = as_uint(f, field);
-      } else {
-        fail(field, "unknown key");
+  template <typename E, std::size_t N>
+  void choice(E& out, const Name<E> (&names)[N]) const {
+    const std::string name = string();
+    std::string expected;
+    for (const auto& [n, value] : names) {
+      if (n == name) {
+        out = value;
+        return;
       }
+      expected += (expected.empty() ? "" : "|") + std::string(n);
+    }
+    fail("unknown value \"" + name + "\" (expected " + expected + ")");
+  }
+
+  Field member(const std::string& key, const JsonValue& m) const {
+    return {m, path.empty() ? key : path + "." + key, origin};
+  }
+
+  /// The member `key` of this object, which must be present.
+  Field get(const std::string& key) const {
+    if (v.kind != JsonValue::Kind::kObject) fail("expected an object");
+    const JsonValue* m = v.find(key);
+    if (m == nullptr) member(key, v).fail("missing");
+    return member(key, *m);
+  }
+
+  /// Calls fn(key, field) for each member of this object. A key holding a
+  /// '.' is unknown: nesting is the only way a file spells a section key.
+  template <typename Fn>
+  void each_member(Fn&& fn) const {
+    if (v.kind != JsonValue::Kind::kObject) fail("expected an object");
+    for (const auto& [key, m] : v.object) {
+      const Field f = member(key, m);
+      if (key.find('.') != std::string::npos) f.fail("unknown key");
+      fn(key, f);
     }
   }
 
-  void apply_key_dist(Scenario& s, const JsonValue& v) const {
-    if (v.kind != JsonValue::Kind::kObject) {
-      fail("key_dist", "expected an object");
-    }
-    wl::KeyDistConfig& kd = s.workload.key_dist;
-    for (const auto& [key, f] : v.object) {
-      const std::string field = "key_dist." + key;
-      if (key == "dist") {
-        const std::string& d = as_string(f, field);
-        if (d == "paper-conflict") {
-          kd.dist = wl::KeyDist::kPaperConflict;
-        } else if (d == "uniform") {
-          kd.dist = wl::KeyDist::kUniform;
-        } else if (d == "zipfian") {
-          kd.dist = wl::KeyDist::kZipfian;
-        } else if (d == "hot-key") {
-          kd.dist = wl::KeyDist::kHotKey;
-        } else {
-          fail(field, "unknown distribution \"" + d +
-                          "\" (expected paper-conflict|uniform|zipfian|"
-                          "hot-key)");
-        }
-      } else if (key == "keyspace") {
-        kd.keyspace = as_uint(f, field);
-      } else if (key == "theta") {
-        kd.zipf_theta = as_number(f, field);
-      } else if (key == "hot_fraction") {
-        kd.hot_fraction = as_number(f, field);
-      } else if (key == "hot_keys") {
-        kd.hot_keys = as_uint(f, field);
-      } else {
-        fail(field, "unknown key");
-      }
+  /// Replaces `out` with this array's elements, each read by `read_one`.
+  template <typename T>
+  void list(std::vector<T>& out, T (*read_one)(const Field&)) const {
+    if (v.kind != JsonValue::Kind::kArray) fail("expected an array");
+    out.clear();
+    for (std::size_t i = 0; i < v.array.size(); ++i) {
+      out.push_back(read_one(
+          Field{v.array[i], path + "[" + std::to_string(i) + "]", origin}));
     }
   }
 
-  void apply_node(Scenario& s, const JsonValue& v) const {
-    if (v.kind != JsonValue::Kind::kObject) fail("node", "expected an object");
-    for (const auto& [key, f] : v.object) {
-      const std::string field = "node." + key;
-      if (key == "batching") {
-        s.node.batching = as_bool(f, field);
-      } else if (key == "batch_delay_us") {
-        s.node.batch_delay_us = static_cast<Time>(as_uint(f, field));
-      } else if (key == "batch_delay_ms") {
-        s.node.batch_delay_us = as_millis(f, field);
-      } else if (key == "batch_max_ops") {
-        s.node.batch_max_ops = static_cast<std::size_t>(as_uint(f, field));
-      } else if (key == "pipeline_window") {
-        s.node.pipeline_window = static_cast<std::size_t>(as_uint(f, field));
-      } else if (key == "coalescing") {
-        s.node.coalescing = as_bool(f, field);
-      } else {
-        fail(field, "unknown key");
-      }
-    }
+ private:
+  /// True when `d` is a whole number in [min, 2^digits), T's range; both
+  /// ends are exact in a double.
+  template <typename T>
+  static bool fits(double d) {
+    return d == std::floor(d) &&
+           d >= static_cast<double>(std::numeric_limits<T>::min()) &&
+           d < std::ldexp(1.0, std::numeric_limits<T>::digits);
   }
-
-  void apply_flow_control(Scenario& s, const JsonValue& v) const {
-    if (v.kind != JsonValue::Kind::kObject) {
-      fail("flow_control", "expected an object");
-    }
-    for (const auto& [key, f] : v.object) {
-      const std::string field = "flow_control." + key;
-      if (key == "max_inflight") {
-        s.workload.max_inflight =
-            static_cast<std::uint32_t>(as_uint(f, field));
-      } else if (key == "policy") {
-        const std::string& p = as_string(f, field);
-        if (p == "shed") {
-          s.workload.overload_policy = wl::OverloadPolicy::kShed;
-        } else if (p == "queue") {
-          s.workload.overload_policy = wl::OverloadPolicy::kQueue;
-        } else {
-          fail(field, "expected \"shed\" or \"queue\", got \"" + p + "\"");
-        }
-      } else if (key == "queue_cap") {
-        s.workload.overload_queue_cap =
-            static_cast<std::size_t>(as_uint(f, field));
-      } else {
-        fail(field, "unknown key");
-      }
-    }
-  }
-
-  void apply_phase(Scenario& s, const JsonValue& v, std::size_t index) const {
-    const std::string prefix = "phases[" + std::to_string(index) + "]";
-    if (v.kind != JsonValue::Kind::kObject) fail(prefix, "expected an object");
-    const JsonValue* mode = v.find("mode");
-    if (mode == nullptr) fail(prefix + ".mode", "missing");
-    const std::string& m = as_string(*mode, prefix + ".mode");
-
-    wl::PhaseSpec p;
-    if (const JsonValue* at = v.find("at_s")) {
-      p.at = as_seconds(*at, prefix + ".at_s");
-    }
-    auto reject_unknown = [&](std::initializer_list<std::string_view> known) {
-      for (const auto& [key, f] : v.object) {
-        (void)f;
-        bool ok = key == "mode" || key == "at_s";
-        for (std::string_view k : known) ok = ok || key == k;
-        if (!ok) fail(prefix + "." + key, "unknown key for mode \"" + m + "\"");
-      }
-    };
-    if (m == "closed-loop") {
-      p.mode = wl::PhaseSpec::Mode::kClosedLoop;
-      reject_unknown({"clients_per_site", "think_ms"});
-      if (const JsonValue* c = v.find("clients_per_site")) {
-        p.clients_per_site = static_cast<std::uint32_t>(
-            as_uint(*c, prefix + ".clients_per_site"));
-      }
-      if (const JsonValue* t = v.find("think_ms")) {
-        p.think_us = as_millis(*t, prefix + ".think_ms");
-      }
-    } else if (m == "open-loop") {
-      p.mode = wl::PhaseSpec::Mode::kOpenLoop;
-      reject_unknown({"rate_tps"});
-      if (const JsonValue* r = v.find("rate_tps")) {
-        p.arrival_rate_tps = as_number(*r, prefix + ".rate_tps");
-      }
-    } else if (m == "ramp") {
-      p.mode = wl::PhaseSpec::Mode::kOpenLoopRamp;
-      reject_unknown({"rate_tps", "to_tps"});
-      if (const JsonValue* r = v.find("rate_tps")) {
-        p.arrival_rate_tps = as_number(*r, prefix + ".rate_tps");
-      }
-      if (const JsonValue* r = v.find("to_tps")) {
-        p.ramp_to_tps = as_number(*r, prefix + ".to_tps");
-      }
-    } else if (m == "quiesce") {
-      p.mode = wl::PhaseSpec::Mode::kQuiesce;
-      p.clients_per_site = 0;
-      reject_unknown({});
-    } else {
-      fail(prefix + ".mode", "unknown mode \"" + m +
-                                 "\" (expected closed-loop|open-loop|ramp|"
-                                 "quiesce)");
-    }
-    s.phases.push_back(p);
-  }
-
-  void apply_fault(Scenario& s, const JsonValue& v, std::size_t index) const {
-    const std::string prefix = "faults[" + std::to_string(index) + "]";
-    if (v.kind != JsonValue::Kind::kObject) fail(prefix, "expected an object");
-    const JsonValue* kind = v.find("kind");
-    if (kind == nullptr) fail(prefix + ".kind", "missing");
-    const std::string& k = as_string(*kind, prefix + ".kind");
-
-    FaultEvent e;
-    if (k == "crash") {
-      e.kind = FaultEvent::Kind::kCrash;
-    } else if (k == "recover") {
-      e.kind = FaultEvent::Kind::kRecover;
-    } else if (k == "partition") {
-      e.kind = FaultEvent::Kind::kPartition;
-    } else if (k == "heal") {
-      e.kind = FaultEvent::Kind::kHeal;
-    } else if (k == "power-loss") {
-      e.kind = FaultEvent::Kind::kPowerLoss;
-    } else if (k == "restart") {
-      e.kind = FaultEvent::Kind::kRestart;
-    } else {
-      fail(prefix + ".kind",
-           "unknown kind \"" + k +
-               "\" (expected crash|recover|partition|heal|power-loss|"
-               "restart)");
-    }
-    for (const auto& [key, f] : v.object) {
-      const std::string field = prefix + "." + key;
-      if (key == "kind") {
-        continue;
-      } else if (key == "at_s") {
-        e.at = as_seconds(f, field);
-      } else if (key == "node") {
-        e.node = as_node(f, field);
-      } else if (key == "a") {
-        e.a = as_node(f, field);
-      } else if (key == "b") {
-        e.b = as_node(f, field);
-      } else if (key == "group") {
-        e.group = static_cast<std::int32_t>(as_int(f, field));
-      } else {
-        fail(field, "unknown key");
-      }
-    }
-    s.faults.push_back(e);
-  }
-
-  void apply_field(Scenario& s, const std::string& key,
-                   const JsonValue& v) const {
-    if (key == "base") {
-      // Already applied (first, so other fields override it).
-    } else if (key == "name") {
-      s.name = as_string(v, key);
-    } else if (key == "protocol") {
-      s.protocol = parse_protocol(as_string(v, key), key);
-    } else if (key == "clients_per_site") {
-      s.workload.clients_per_site =
-          static_cast<std::uint32_t>(as_uint(v, key));
-    } else if (key == "conflict_pct") {
-      s.workload.conflict_fraction = as_number(v, key) / 100.0;
-    } else if (key == "think_ms") {
-      s.workload.think_us = as_millis(v, key);
-    } else if (key == "duration_s") {
-      s.duration = as_seconds(v, key);
-    } else if (key == "warmup_s") {
-      s.warmup = as_seconds(v, key);
-    } else if (key == "seed") {
-      s.seed = as_uint(v, key);
-    } else if (key == "shards") {
-      apply_shards(s, v);
-    } else if (key == "key_dist") {
-      apply_key_dist(s, v);
-    } else if (key == "phases") {
-      if (v.kind != JsonValue::Kind::kArray) fail(key, "expected an array");
-      s.phases.clear();  // a file's phase list replaces the base's
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        apply_phase(s, v.array[i], i);
-      }
-    } else if (key == "faults") {
-      if (v.kind != JsonValue::Kind::kArray) fail(key, "expected an array");
-      s.faults.clear();  // a file's fault list replaces the base's
-      for (std::size_t i = 0; i < v.array.size(); ++i) {
-        apply_fault(s, v.array[i], i);
-      }
-    } else if (key == "fd_timeout_ms") {
-      s.fd_timeout_us = as_millis(v, key);
-    } else if (key == "fd_suspect_partitions") {
-      s.fd_suspect_partitions = as_bool(v, key);
-    } else if (key == "data_dir") {
-      s.storage.data_dir = as_string(v, key);
-    } else if (key == "sync_mode") {
-      try {
-        s.storage.sync_mode = storage::parse_sync_mode(as_string(v, key));
-      } catch (const std::invalid_argument& e) {
-        fail(key, e.what());
-      }
-    } else if (key == "metrics_window_s") {
-      s.metrics_window_us = as_seconds(v, key);
-    } else if (key == "check_consistency") {
-      s.check_consistency = as_bool(v, key);
-    } else if (key == "multipaxos_leader") {
-      s.multipaxos.leader = as_node(v, key);
-    } else if (key == "node") {
-      apply_node(s, v);
-    } else if (key == "flow_control") {
-      apply_flow_control(s, v);
-    } else {
-      fail(key, "unknown key");
-    }
-  }
-
-  std::string_view origin_;
 };
+
+constexpr Name<ProtocolKind> kProtocols[] = {
+    {"caesar", ProtocolKind::kCaesar},
+    {"epaxos", ProtocolKind::kEPaxos},
+    {"m2paxos", ProtocolKind::kM2Paxos},
+    {"mencius", ProtocolKind::kMencius},
+    {"multipaxos", ProtocolKind::kMultiPaxos},
+    {"clockrsm", ProtocolKind::kClockRsm}};
+constexpr Name<shard::Partition> kPartitions[] = {
+    {"hash", shard::Partition::kHash}, {"range", shard::Partition::kRange}};
+constexpr Name<shard::MultiKeyPolicy> kMultiKeyPolicies[] = {
+    {"pin-first-key", shard::MultiKeyPolicy::kPinFirstKey},
+    {"reject", shard::MultiKeyPolicy::kReject}};
+constexpr Name<wl::KeyDist> kKeyDists[] = {
+    {"paper-conflict", wl::KeyDist::kPaperConflict},
+    {"uniform", wl::KeyDist::kUniform},
+    {"zipfian", wl::KeyDist::kZipfian},
+    {"hot-key", wl::KeyDist::kHotKey}};
+constexpr Name<wl::OverloadPolicy> kOverloadPolicies[] = {
+    {"shed", wl::OverloadPolicy::kShed}, {"queue", wl::OverloadPolicy::kQueue}};
+constexpr Name<wl::PhaseSpec::Mode> kPhaseModes[] = {
+    {"closed-loop", wl::PhaseSpec::Mode::kClosedLoop},
+    {"open-loop", wl::PhaseSpec::Mode::kOpenLoop},
+    {"ramp", wl::PhaseSpec::Mode::kOpenLoopRamp},
+    {"quiesce", wl::PhaseSpec::Mode::kQuiesce}};
+constexpr Name<FaultEvent::Kind> kFaultKinds[] = {
+    {"crash", FaultEvent::Kind::kCrash},
+    {"recover", FaultEvent::Kind::kRecover},
+    {"partition", FaultEvent::Kind::kPartition},
+    {"heal", FaultEvent::Kind::kHeal},
+    {"power-loss", FaultEvent::Kind::kPowerLoss},
+    {"restart", FaultEvent::Kind::kRestart}};
+
+/// One "phases" element. Besides "mode" and "at_s" it takes only the keys
+/// its mode uses.
+wl::PhaseSpec read_phase(const Field& f) {
+  using Mode = wl::PhaseSpec::Mode;
+  wl::PhaseSpec p;
+  const Field mode = f.get("mode");
+  mode.choice(p.mode, kPhaseModes);
+  if (p.mode == Mode::kQuiesce) p.clients_per_site = 0;
+  const bool closed = p.mode == Mode::kClosedLoop;
+  const bool ramp = p.mode == Mode::kOpenLoopRamp;
+  const bool open = ramp || p.mode == Mode::kOpenLoop;
+  f.each_member([&](const std::string& key, const Field& m) {
+    if (key == "mode") {  // read above
+    } else if (key == "at_s") {
+      p.at = m.time(kSec);
+    } else if (closed && key == "clients_per_site") {
+      m.read(p.clients_per_site);
+    } else if (closed && key == "think_ms") {
+      p.think_us = m.time(kMs);
+    } else if (open && key == "rate_tps") {
+      m.read(p.arrival_rate_tps);
+    } else if (ramp && key == "to_tps") {
+      m.read(p.ramp_to_tps);
+    } else {
+      m.fail("unknown key for mode \"" + mode.v.string + "\"");
+    }
+  });
+  return p;
+}
+
+/// One "faults" element. Every kind takes the same keys; validate_scenario
+/// checks the ones the kind needs.
+FaultEvent read_fault(const Field& f) {
+  FaultEvent e;
+  f.get("kind").choice(e.kind, kFaultKinds);
+  f.each_member([&e](const std::string& key, const Field& m) {
+    if (key == "kind") {  // read above
+    } else if (key == "at_s") {
+      e.at = m.time(kSec);
+    } else if (key == "node") {
+      m.read(e.node);
+    } else if (key == "a") {
+      m.read(e.a);
+    } else if (key == "b") {
+      m.read(e.b);
+    } else if (key == "group") {
+      m.read(e.group);
+    } else {
+      m.fail("unknown key");
+    }
+  });
+  return e;
+}
+
+struct Knob {
+  std::string_view key;
+  void (*apply)(Scenario&, const Field&);
+};
+
+// Every settable knob, by its key path; each row's lambda takes
+// (Scenario& s, const Field& f). The rows check no values of their own:
+// validate_scenario judges the finished scenario. A list replaces the
+// base's list whole.
+constexpr Knob kKnobs[] = {
+    {"name", [](auto& s, auto& f) { f.read(s.name); }},
+    {"protocol", [](auto& s, auto& f) { f.choice(s.protocol, kProtocols); }},
+    {"clients_per_site",
+     [](auto& s, auto& f) { f.read(s.workload.clients_per_site); }},
+    {"conflict_pct",
+     [](auto& s, auto& f) {
+       s.workload.conflict_fraction = f.number() / 100.0;
+     }},
+    {"think_ms", [](auto& s, auto& f) { s.workload.think_us = f.time(kMs); }},
+    {"duration_s", [](auto& s, auto& f) { s.duration = f.time(kSec); }},
+    {"warmup_s", [](auto& s, auto& f) { s.warmup = f.time(kSec); }},
+    {"seed", [](auto& s, auto& f) { f.read(s.seed); }},
+    {"phases", [](auto& s, auto& f) { f.list(s.phases, read_phase); }},
+    {"faults", [](auto& s, auto& f) { f.list(s.faults, read_fault); }},
+    {"fd_timeout_ms", [](auto& s, auto& f) { s.fd_timeout_us = f.time(kMs); }},
+    {"fd_suspect_partitions",
+     [](auto& s, auto& f) { f.read(s.fd_suspect_partitions); }},
+    {"data_dir", [](auto& s, auto& f) { f.read(s.storage.data_dir); }},
+    {"sync_mode", [](auto& s, auto& f) {
+       try {
+         s.storage.sync_mode = storage::parse_sync_mode(f.string());
+       } catch (const std::invalid_argument& e) {
+         f.fail(e.what());
+       }
+     }},
+    {"metrics_window_s",
+     [](auto& s, auto& f) { s.metrics_window_us = f.time(kSec); }},
+    {"check_consistency",
+     [](auto& s, auto& f) { f.read(s.check_consistency); }},
+    {"multipaxos_leader",
+     [](auto& s, auto& f) { f.read(s.multipaxos.leader); }},
+    {"shards.count", [](auto& s, auto& f) { f.read(s.shards.count); }},
+    {"shards.partition",
+     [](auto& s, auto& f) { f.choice(s.shards.partition, kPartitions); }},
+    {"shards.multi_key",
+     [](auto& s, auto& f) { f.choice(s.shards.multi_key, kMultiKeyPolicies); }},
+    {"shards.range_keyspace",
+     [](auto& s, auto& f) { f.read(s.shards.range_keyspace); }},
+    {"key_dist.dist",
+     [](auto& s, auto& f) { f.choice(s.workload.key_dist.dist, kKeyDists); }},
+    {"key_dist.keyspace",
+     [](auto& s, auto& f) { f.read(s.workload.key_dist.keyspace); }},
+    {"key_dist.theta",
+     [](auto& s, auto& f) { f.read(s.workload.key_dist.zipf_theta); }},
+    {"key_dist.hot_fraction",
+     [](auto& s, auto& f) { f.read(s.workload.key_dist.hot_fraction); }},
+    {"key_dist.hot_keys",
+     [](auto& s, auto& f) { f.read(s.workload.key_dist.hot_keys); }},
+    {"node.batching", [](auto& s, auto& f) { f.read(s.node.batching); }},
+    {"node.batch_delay_us",
+     [](auto& s, auto& f) { f.read(s.node.batch_delay_us); }},
+    {"node.batch_delay_ms",
+     [](auto& s, auto& f) { s.node.batch_delay_us = f.time(kMs); }},
+    {"node.batch_max_ops",
+     [](auto& s, auto& f) { f.read(s.node.batch_max_ops); }},
+    {"node.pipeline_window",
+     [](auto& s, auto& f) { f.read(s.node.pipeline_window); }},
+    {"node.coalescing", [](auto& s, auto& f) { f.read(s.node.coalescing); }},
+    {"flow_control.max_inflight",
+     [](auto& s, auto& f) { f.read(s.workload.max_inflight); }},
+    {"flow_control.policy",
+     [](auto& s, auto& f) {
+       f.choice(s.workload.overload_policy, kOverloadPolicies);
+     }},
+    {"flow_control.queue_cap",
+     [](auto& s, auto& f) { f.read(s.workload.overload_queue_cap); }},
+    {"caesar.wait_enabled",
+     [](auto& s, auto& f) { f.read(s.caesar.wait_enabled); }},
+};
+
+/// Applies `f` to the knob at its path. A section key (a row-key prefix
+/// followed by '.') takes an object and applies its members one by one.
+void apply_knob(Scenario& s, const Field& f) {
+  for (const Knob& k : kKnobs) {
+    if (k.key == f.path) return k.apply(s, f);
+  }
+  const std::string section = f.path + ".";
+  for (const Knob& k : kKnobs) {
+    if (k.key.starts_with(section)) {
+      return f.each_member(
+          [&s](const std::string&, const Field& m) { apply_knob(s, m); });
+    }
+  }
+  f.fail("unknown key");
+}
 
 }  // namespace
 
 Scenario scenario_from_json(std::string_view text, std::string_view origin) {
-  JsonParser parser(text, origin);
-  const JsonValue root = parser.parse();
-  return ScenarioTranslator(origin).translate(root);
+  const std::string where = "scenario file " + std::string(origin);
+  const JsonValue root = JsonParser(text, origin).parse();
+  const Field top{root, "", where};
+  if (root.kind != JsonValue::Kind::kObject) {
+    top.fail("top level must be a JSON object");
+  }
+  Scenario s;
+  // "base" first regardless of key order: the other keys override it.
+  if (const JsonValue* base = root.find("base")) {
+    s = make_scenario(top.member("base", *base).string());
+  }
+  top.each_member([&s](const std::string& key, const Field& f) {
+    if (key != "base") apply_knob(s, f);
+  });
+  return ScenarioBuilder(std::move(s)).build();
+}
+
+void set_scenario_knob(Scenario& s, std::string_view key,
+                       std::string_view value) {
+  const std::string where =
+      "--set " + std::string(key) + "=" + std::string(value);
+  JsonValue v;
+  try {
+    v = JsonParser(value, where).parse();
+  } catch (const std::invalid_argument&) {
+    v.kind = JsonValue::Kind::kString;
+    v.string = value;
+  }
+  const Field f{v, std::string(key), where};
+  if (key == "base") f.fail("not a knob: it names the scenario to start from");
+  apply_knob(s, f);
 }
 
 Scenario load_scenario_file(const std::string& path) {

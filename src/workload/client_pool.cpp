@@ -11,19 +11,6 @@ namespace {
 constexpr std::uint64_t kOpenChooserBase = 1ull << 20;
 }  // namespace
 
-ClientPool::ClientPool(sim::Simulator& sim, rt::Cluster& cluster,
-                       WorkloadConfig cfg, Rng rng,
-                       std::vector<PhaseSpec> phases, Time horizon)
-    : sim_(sim),
-      owned_front_(std::make_unique<ClusterFrontend>(cluster)),
-      front_(*owned_front_),
-      cfg_(cfg),
-      rng_(std::move(rng)),
-      phases_(std::move(phases)),
-      horizon_(horizon) {
-  init();
-}
-
 ClientPool::ClientPool(sim::Simulator& sim, Frontend& front, WorkloadConfig cfg,
                        Rng rng, std::vector<PhaseSpec> phases, Time horizon)
     : sim_(sim),
@@ -32,10 +19,6 @@ ClientPool::ClientPool(sim::Simulator& sim, Frontend& front, WorkloadConfig cfg,
       rng_(std::move(rng)),
       phases_(std::move(phases)),
       horizon_(horizon) {
-  init();
-}
-
-void ClientPool::init() {
   if (phases_.empty()) {
     phases_.push_back(
         PhaseSpec::closed_loop(0, cfg_.clients_per_site, cfg_.think_us));

@@ -57,8 +57,7 @@ struct WorkloadConfig {
 
 /// What the client pool submits into. harness::run_scenario submits through
 /// shard::ShardRouter, which routes each command to its owning consensus
-/// group (a classic run has one); the single-cluster adapter below serves a
-/// pool that drives one rt::Cluster directly.
+/// group (a classic run has one).
 class Frontend {
  public:
   virtual ~Frontend() = default;
@@ -73,25 +72,6 @@ class Frontend {
   /// command was dropped (target dead) or rejected (cross-shard policy).
   /// Completion is observed as a delivery at the returned node.
   virtual NodeId submit(NodeId site, rsm::Command cmd) = 0;
-};
-
-/// Frontend over one rt::Cluster: submit to the site's own replica.
-class ClusterFrontend final : public Frontend {
- public:
-  explicit ClusterFrontend(rt::Cluster& cluster) : cluster_(cluster) {}
-
-  std::size_t sites() const override { return cluster_.size(); }
-  bool crashed(NodeId site) const override {
-    return cluster_.node(site).crashed();
-  }
-  NodeId submit(NodeId site, rsm::Command cmd) override {
-    if (cluster_.node(site).crashed()) return kNoNode;
-    cluster_.node(site).submit(std::move(cmd));
-    return site;
-  }
-
- private:
-  rt::Cluster& cluster_;
 };
 
 /// One segment of a phased workload. Phases are applied in order of `at`;
@@ -162,15 +142,11 @@ class ClientPool {
  public:
   using CompletionHook = std::function<void(const Completion&)>;
 
+  /// Submits through `front` (a shard router), which must outlive the pool.
   /// With an empty `phases` the pool runs a single closed-loop phase built
   /// from `cfg` (clients_per_site/think_us), i.e. the paper's methodology.
   /// `horizon` is the intended run length; it closes out a ramp in the last
   /// phase (0 = unknown: a trailing ramp holds its starting rate).
-  ClientPool(sim::Simulator& sim, rt::Cluster& cluster, WorkloadConfig cfg,
-             Rng rng, std::vector<PhaseSpec> phases = {}, Time horizon = 0);
-
-  /// Same, but submitting through an arbitrary frontend (a shard router).
-  /// `front` must outlive the pool.
   ClientPool(sim::Simulator& sim, Frontend& front, WorkloadConfig cfg, Rng rng,
              std::vector<PhaseSpec> phases = {}, Time horizon = 0);
 
@@ -230,7 +206,6 @@ class ClientPool {
     NodeId arrival = kNoNode;
   };
 
-  void init();
   bool client_active(std::uint32_t client_idx) const;
   NodeId live_site_for(NodeId preferred) const;
   void enter_phase(const PhaseSpec& phase);
@@ -245,9 +220,6 @@ class ClientPool {
   void release_open_slot(NodeId site);
 
   sim::Simulator& sim_;
-  /// Set only by the rt::Cluster convenience constructor; declared before
-  /// front_ so the reference below can bind to it.
-  std::unique_ptr<ClusterFrontend> owned_front_;
   Frontend& front_;
   WorkloadConfig cfg_;
   Rng rng_;

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace caesar::harness {
 namespace {
@@ -176,6 +177,98 @@ TEST(ScenarioFileTest, RejectsMalformedJson) {
   EXPECT_THROW(scenario_from_json("[1,2]", "t"), std::invalid_argument);
   EXPECT_THROW(scenario_from_json(R"({"seed": })", "t"),
                std::invalid_argument);
+  // A number token is read whole ("1-2" is not 1), and JSON has no '+'.
+  EXPECT_THROW(scenario_from_json(R"({"seed": 1-2})", "t"),
+               std::invalid_argument);
+  EXPECT_THROW(scenario_from_json(R"({"seed": +5})", "t"),
+               std::invalid_argument);
+}
+
+TEST(ScenarioFileTest, RejectsIntegersTheMemberCannotHold) {
+  // Each would wrap or overflow on the way into its member: 2^32 + 1
+  // clients is 1 client, node 2^32 + 2 is node 2, an in-flight cap of 2^32
+  // is 0 (flow control off), and 1e300 seconds or a 1e30 seed overflows a
+  // 64-bit integer.
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"clients_per_site": 4294967297})", "\"clients_per_site\""},
+      {R"({"faults": [{"kind": "crash", "node": 4294967298, "at_s": 1}]})",
+       "\"faults[0].node\""},
+      {R"({"flow_control": {"max_inflight": 4294967296}})",
+       "\"flow_control.max_inflight\""},
+      {R"({"seed": 1e30})", "\"seed\""},
+      {R"({"duration_s": 1e300})", "\"duration_s\""},
+  };
+  for (const auto& [text, field] : cases) {
+    const std::string err = parse_error(text);
+    EXPECT_NE(err.find(field), std::string::npos) << text << " -> " << err;
+  }
+  // In-range values still parse: a seed past 2^32, a negative group.
+  const Scenario s = scenario_from_json(
+      R"({"seed": 9007199254740992, "faults": [{"kind": "crash",
+          "node": 4, "group": -1, "at_s": 1}]})",
+      "t");
+  EXPECT_EQ(s.seed, 9007199254740992u);
+}
+
+TEST(ScenarioFileTest, SetKnobTakesFileKeysWithJsonValues) {
+  Scenario s = make_scenario("quickstart");
+  set_scenario_knob(s, "protocol", "epaxos");  // not JSON: a bare string
+  set_scenario_knob(s, "seed", "42");
+  set_scenario_knob(s, "check_consistency", "false");
+  set_scenario_knob(s, "phases",
+                    R"([{"mode": "open-loop", "at_s": 0, "rate_tps": 900}])");
+  set_scenario_knob(s, "node.batch_max_ops", "64");
+  set_scenario_knob(s, "flow_control",
+                    R"({"max_inflight": 8, "policy": "shed"})");
+  set_scenario_knob(s, "caesar.wait_enabled", "false");
+  EXPECT_EQ(s.protocol, ProtocolKind::kEPaxos);
+  EXPECT_EQ(s.seed, 42u);
+  EXPECT_FALSE(s.check_consistency);
+  ASSERT_EQ(s.phases.size(), 1u);
+  EXPECT_EQ(s.phases[0].mode, wl::PhaseSpec::Mode::kOpenLoop);
+  EXPECT_DOUBLE_EQ(s.phases[0].arrival_rate_tps, 900.0);
+  EXPECT_EQ(s.node.batch_max_ops, 64u);
+  EXPECT_EQ(s.workload.max_inflight, 8u);
+  EXPECT_EQ(s.workload.overload_policy, wl::OverloadPolicy::kShed);
+  EXPECT_FALSE(s.caesar.wait_enabled);
+  EXPECT_NO_THROW(ScenarioBuilder(s).build());
+
+  // A scenario file takes the new CAESAR section too, nested.
+  EXPECT_FALSE(scenario_from_json(R"({"caesar": {"wait_enabled": false}})",
+                                  "t")
+                   .caesar.wait_enabled);
+}
+
+TEST(ScenarioFileTest, SetKnobErrorsNameTheKey) {
+  auto set_error = [](const char* key, const char* value) -> std::string {
+    Scenario s;
+    try {
+      set_scenario_knob(s, key, value);
+      return "";
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+  };
+  EXPECT_NE(set_error("node.batch_size", "4").find("\"node.batch_size\""),
+            std::string::npos);
+  EXPECT_NE(set_error("frobnicate", "1").find("\"frobnicate\""),
+            std::string::npos);
+  EXPECT_NE(set_error("seed", "abc").find("\"seed\""), std::string::npos);
+  EXPECT_NE(set_error("node", R"({"batch_size": 4})").find("node.batch_size"),
+            std::string::npos);
+  EXPECT_NE(set_error("base", "quickstart").find("base"), std::string::npos);
+  // In a file, nesting is the only spelling of a section key.
+  EXPECT_NE(parse_error(R"({"node.batching": true})").find("node.batching"),
+            std::string::npos);
+}
+
+TEST(ScenarioFileTest, SyncModeOtherThanBatchedNeedsDataDir) {
+  EXPECT_NE(parse_error(R"({"sync_mode": "always"})").find("sync_mode"),
+            std::string::npos);
+  EXPECT_EQ(parse_error(R"({"sync_mode": "batched"})"), "");
+  EXPECT_EQ(parse_error(R"({"sync_mode": "always",
+                            "data_dir": "caesar-test-data/sync-mode"})"),
+            "");
 }
 
 TEST(ScenarioFileTest, ResultIsValidated) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "multipaxos/multipaxos.h"
+#include "shard/shard_router.h"
+#include "shard/sharded_cluster.h"
 #include "workload/client_pool.h"
 #include "workload/key_chooser.h"
 
@@ -47,27 +49,47 @@ TEST(KeyChooserTest, DistinctClientsHaveDisjointPrivateKeys) {
   for (Key k : ka) EXPECT_EQ(kb.count(k), 0u);
 }
 
+/// A pool driving a 3-site Multi-Paxos cluster (leader 0) through the
+/// frontend harness::run_scenario uses: a one-group shard::ShardedCluster
+/// behind a shard::ShardRouter.
 struct PoolFixture {
   explicit PoolFixture(WorkloadConfig wcfg, std::uint64_t seed = 5,
                        std::vector<PhaseSpec> phases = {})
-      : sim(seed) {
-    rt::ClusterConfig ccfg;
-    cluster = std::make_unique<rt::Cluster>(
-        sim, net::Topology::lan(3), ccfg,
-        [&](rt::Env& env, rt::Protocol::DeliverFn deliver) {
-          return std::make_unique<mpaxos::MultiPaxos>(
-              env, std::move(deliver), mpaxos::MultiPaxosConfig{0}, nullptr);
-        },
-        [this](NodeId node, const rsm::Command& cmd) {
-          if (pool) pool->on_delivery(node, cmd);
-        });
-    pool = std::make_unique<ClientPool>(sim, *cluster, wcfg, sim.rng().fork(),
+      : sim(seed),
+        cluster(sim, net::Topology::lan(3), rt::ClusterConfig{}, 1,
+                [](std::uint32_t) -> rt::Cluster::ProtocolFactory {
+                  return [](rt::Env& env, rt::Protocol::DeliverFn deliver) {
+                    return std::make_unique<mpaxos::MultiPaxos>(
+                        env, std::move(deliver), mpaxos::MultiPaxosConfig{0},
+                        nullptr);
+                  };
+                },
+                [this](std::uint32_t g, NodeId node, const rsm::Command& cmd) {
+                  router.on_delivery(g, node, cmd);
+                  if (pool) pool->on_delivery(node, cmd);
+                }),
+        router(cluster, shard::ShardMap(shard::ShardSpec{})) {
+    pool = std::make_unique<ClientPool>(sim, router, wcfg, sim.rng().fork(),
                                         std::move(phases));
-    cluster->start();
+    router.set_loss_hook([this](ReqId req) { pool->on_request_lost(req); });
+    cluster.start();
+  }
+
+  /// A whole-site crash, told to the pool before the router, as
+  /// run_scenario does.
+  void crash(NodeId n) {
+    cluster.crash(/*group=*/-1, n);  // every group
+    pool->on_node_crashed(n);
+    router.on_group_node_crashed(0, n);
+  }
+  void recover(NodeId n) {
+    cluster.recover(/*group=*/-1, n);
+    pool->on_node_recovered(n);
   }
 
   sim::Simulator sim;
-  std::unique_ptr<rt::Cluster> cluster;
+  shard::ShardedCluster cluster;
+  shard::ShardRouter router;
   std::unique_ptr<ClientPool> pool;
 };
 
@@ -156,20 +178,15 @@ TEST(ClientPoolTest, WholeClusterDownParksClientsWithoutFaulting) {
   PoolFixture f(wcfg);
   f.pool->start();
   f.sim.run_until(100 * kMs);
-  for (NodeId n = 0; n < 3; ++n) {
-    f.cluster->crash(n);
-    f.pool->on_node_crashed(n);
-  }
+  for (NodeId n = 0; n < 3; ++n) f.crash(n);
   const std::uint64_t at_blackout = f.pool->completed();
   f.sim.run_until(500 * kMs);  // must not dereference a kNoNode home
   EXPECT_EQ(f.pool->completed(), at_blackout);
 
   // Recovery of a majority (leader included) ends the blackout: parked
   // clients reconnect and commands commit again.
-  f.cluster->recover(0);
-  f.pool->on_node_recovered(0);
-  f.cluster->recover(1);
-  f.pool->on_node_recovered(1);
+  f.recover(0);
+  f.recover(1);
   f.sim.run_until(1500 * kMs);
   EXPECT_GT(f.pool->completed(), at_blackout + 20);
 }
@@ -179,8 +196,7 @@ TEST(ClientPoolTest, OpenLoopDivertsArrivalsFromCrashedSite) {
   PoolFixture f(wcfg, /*seed=*/5, {PhaseSpec::open_loop(0, 300.0)});
   f.pool->start();
   f.sim.run_until(200 * kMs);
-  f.cluster->crash(2);
-  f.pool->on_node_crashed(2);
+  f.crash(2);
   const std::uint64_t before = f.pool->completed();
   f.sim.run_until(1 * kSec);
   // Arrivals destined for the crashed site complete via live sites instead.
@@ -196,8 +212,7 @@ TEST(ClientPoolTest, CrashedSiteClientsReconnectElsewhere) {
   f.sim.run_until(100 * kMs);
   const std::uint64_t before = f.pool->completed();
   // Crash a non-leader site (leader is node 0).
-  f.cluster->crash(2);
-  f.pool->on_node_crashed(2);
+  f.crash(2);
   f.sim.run_until(600 * kMs);
   // All six clients keep completing (the two from node 2 now via others).
   EXPECT_GT(f.pool->completed(), before + 50);
