@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstring>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -190,30 +189,9 @@ void BM_EventQueueReschedule(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueReschedule);
 
-void BM_ConflictIndexScan(benchmark::State& state) {
-  // The CAESAR COMPUTEPREDECESSORS pattern on the seed's node-based map —
-  // kept as the reference point for BM_KeyIndexScan below.
-  std::map<core::Timestamp, CmdId> index;
-  for (std::int64_t i = 0; i < state.range(0); ++i) {
-    index.emplace(core::Timestamp{static_cast<std::uint64_t>(i + 1),
-                                  static_cast<NodeId>(i % 5)},
-                  make_cmd_id(static_cast<NodeId>(i % 5), i));
-  }
-  const core::Timestamp bound{static_cast<std::uint64_t>(state.range(0) / 2), 0};
-  for (auto _ : state) {
-    std::vector<std::uint64_t> pred;
-    for (auto it = index.begin(); it != index.end() && it->first < bound; ++it) {
-      pred.push_back(it->second);
-    }
-    benchmark::DoNotOptimize(pred.data());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0) / 2);
-}
-BENCHMARK(BM_ConflictIndexScan)->Arg(64)->Arg(1024);
-
 void BM_KeyIndexScan(benchmark::State& state) {
-  // Same ordered below-bound scan against the flat sorted-vector index the
-  // protocol now uses.
+  // The CAESAR COMPUTEPREDECESSORS pattern: an ordered below-bound scan of
+  // one key's flat sorted-vector index.
   core::KeyIndex index;
   constexpr Key kKey = 7;
   for (std::int64_t i = 0; i < state.range(0); ++i) {

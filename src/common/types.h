@@ -77,8 +77,6 @@ constexpr ReqId make_req_id(NodeId origin, std::uint64_t seq) {
   return make_cmd_id(origin, seq);
 }
 
-constexpr NodeId req_origin(ReqId id) { return cmd_origin(id); }
-
 constexpr Ballot make_ballot(std::uint32_t round, NodeId node) {
   return (static_cast<std::uint64_t>(round) << 16) | (node & 0xFFFFu);
 }

@@ -82,11 +82,6 @@ void Caesar::on_recover() {
   request_catchup();
 }
 
-Ballot Caesar::current_ballot(CmdId id) const {
-  const CmdInfo* info = cmds_.find(id);
-  return info == nullptr ? 0 : info->joined;
-}
-
 Status Caesar::status_of(CmdId id) const {
   const CmdInfo* info = cmds_.find(id);
   return info == nullptr ? Status::kNone : info->status;

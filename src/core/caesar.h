@@ -55,8 +55,7 @@ struct CaesarConfig {
   /// Progress-watchdog period: a stalled delivered count with undelivered
   /// backlog (blocked stables, in-flight entries that never resolve)
   /// triggers instance catch-up from a rotating live peer. 0 disables the
-  /// watchdog (unit tests drive the simulator to quiescence; the scenario
-  /// harness enables it for fault runs).
+  /// watchdog (the default).
   Time catchup_interval_us = 0;
 };
 
@@ -257,8 +256,6 @@ class Caesar final : public rt::Protocol {
   void gossip_tick();
   /// Prunes a command delivered on every node; true when it did.
   bool maybe_prune(CmdId id, CmdInfo& info);
-
-  Ballot current_ballot(CmdId id) const;
 
   CaesarConfig cfg_;
   stats::ProtocolStats* stats_;

@@ -53,8 +53,7 @@ struct EPaxosConfig {
   Time recovery_retry_us = 2 * kSec;
   /// Progress-watchdog period: a stalled execution frontier with committable
   /// backlog triggers instance catch-up from a live peer. 0 disables the
-  /// watchdog (unit tests drive the simulator to quiescence; the scenario
-  /// harness enables it for fault runs).
+  /// watchdog (the default).
   Time catchup_interval_us = 0;
 };
 
@@ -79,7 +78,6 @@ class EPaxos final : public rt::Protocol {
   bool is_committed(InstanceId iid) const;
   std::uint64_t seq_of(InstanceId iid) const;
   IdSet deps_of(InstanceId iid) const;
-  std::size_t instance_count() const { return instances_.size(); }
 
  private:
   enum MsgType : std::uint16_t {

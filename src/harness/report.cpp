@@ -244,6 +244,17 @@ void counters_json(std::ostream& os, const stats::ProtocolCounters& c) {
   os << ",\"fast_path_fraction\":" << json_num(c.fast_path_fraction()) << "}";
 }
 
+/// One extended latency block per pool, keyed by its kPoolFields name.
+void pools_json(std::ostream& os, const stats::PhasePools& p) {
+  char sep = '{';
+  for (const stats::PoolField& f : stats::kPoolFields) {
+    os << sep << '"' << f.name << "\":";
+    latency_json(os, p.*f.member, /*extended=*/true);
+    sep = ',';
+  }
+  os << "}";
+}
+
 void provenance_json(std::ostream& os, const Provenance& p) {
   os << "{\"scenario\":\"" << json_escape(p.scenario) << "\",\"protocol\":\""
      << json_escape(p.protocol) << "\",\"seed\":" << p.seed
@@ -268,15 +279,9 @@ void window_json(std::ostream& os, const stats::MetricsWindow& w) {
   counters_json(os, w.proto);
   // Per-window slices of the protocol-internal pools, mirroring the run-wide
   // phase_latency_us block in "totals".
-  os << ",\"phase_latency_us\":{\"wait\":";
-  latency_json(os, w.wait_time, /*extended=*/true);
-  os << ",\"propose\":";
-  latency_json(os, w.propose_phase, /*extended=*/true);
-  os << ",\"retry\":";
-  latency_json(os, w.retry_phase, /*extended=*/true);
-  os << ",\"deliver\":";
-  latency_json(os, w.deliver_phase, /*extended=*/true);
-  os << "}}";
+  os << ",\"phase_latency_us\":";
+  pools_json(os, w);
+  os << "}";
 }
 
 }  // namespace
@@ -297,15 +302,9 @@ std::string to_json(const RunReport& r) {
   counters_json(os, r.proto.counters());
   // Percentile summaries of the protocol-internal pools (paper Fig 11):
   // wait-condition park times and the leader's phase breakdown.
-  os << ",\"phase_latency_us\":{\"wait\":";
-  latency_json(os, r.proto.wait_time, /*extended=*/true);
-  os << ",\"propose\":";
-  latency_json(os, r.proto.propose_phase, /*extended=*/true);
-  os << ",\"retry\":";
-  latency_json(os, r.proto.retry_phase, /*extended=*/true);
-  os << ",\"deliver\":";
-  latency_json(os, r.proto.deliver_phase, /*extended=*/true);
-  os << "}}";
+  os << ",\"phase_latency_us\":";
+  pools_json(os, r.proto);
+  os << "}";
 
   os << ",\"windows\":[";
   for (std::size_t i = 0; i < r.windows.size(); ++i) {

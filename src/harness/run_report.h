@@ -52,17 +52,10 @@ struct SiteMetrics {
   stats::LatencyStats latency;  // per-completion, measured after warmup
 };
 
-/// Aggregate protocol counters captured mid-run (Scenario::sample_stats_at).
-struct StatsSample {
-  Time at = 0;
-  stats::ProtocolStats proto;
-  std::uint64_t completed = 0;
-};
-
 /// Router-level counters of a sharded run (see shard::ShardRouter).
 struct RouterStats {
-  std::string partition;  // "hash" | "range"
-  std::string multi_key;  // "pin-first-key" | "reject"
+  std::string partition;  // shard::to_string(Partition)
+  std::string multi_key;  // shard::to_string(MultiKeyPolicy)
   std::uint64_t cross_shard_pins = 0;
   std::uint64_t cross_shard_rejects = 0;
   std::uint64_t reroutes = 0;
@@ -116,12 +109,15 @@ struct RunReport {
   stats::ProtocolStats proto;
   std::vector<stats::ProtocolStats> per_node;
 
-  /// Completions per timeline bucket (Fig 12).
+  /// Completions per timeline bucket (Fig 12), from t=0 and warmup
+  /// included.
   stats::TimeSeries timeline{500 * kMs};
 
-  /// Mid-run snapshots, one per Scenario::sample_stats_at in time order.
-  std::vector<StatsSample> samples;
-
+  /// The weak common-order check: for every pair of replicas and every key,
+  /// the commands both logs hold appear in the same relative order
+  /// (rsm::consistent_key_orders). A replica whose log omits a command from
+  /// the middle still passes; the per-key prefix oracle in harness/oracle.h
+  /// (check_cluster_consistency) is the stronger verdict.
   bool consistent = true;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;

@@ -13,75 +13,74 @@
 
 namespace caesar::harness {
 
-std::string_view to_string(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kCaesar:
-      return "Caesar";
-    case ProtocolKind::kEPaxos:
-      return "EPaxos";
-    case ProtocolKind::kM2Paxos:
-      return "M2Paxos";
-    case ProtocolKind::kMencius:
-      return "Mencius";
-    case ProtocolKind::kMultiPaxos:
-      return "MultiPaxos";
-    case ProtocolKind::kClockRsm:
-      return "ClockRSM";
+namespace {
+
+/// ProtocolInfo::make for protocol class P configured by Scenario member
+/// `config`.
+template <typename P, auto config>
+std::unique_ptr<rt::Protocol> make_protocol(const Scenario& s, rt::Env& env,
+                                            rt::Protocol::DeliverFn deliver,
+                                            stats::ProtocolStats* stats) {
+  return std::make_unique<P>(env, std::move(deliver), s.*config, stats);
+}
+
+constexpr ProtocolInfo kProtocolTable[] = {
+    {ProtocolKind::kCaesar, "Caesar", "caesar", true,
+     make_protocol<core::Caesar, &Scenario::caesar>},
+    {ProtocolKind::kEPaxos, "EPaxos", "epaxos", true,
+     make_protocol<epaxos::EPaxos, &Scenario::epaxos>},
+    {ProtocolKind::kM2Paxos, "M2Paxos", "m2paxos", false,
+     make_protocol<m2paxos::M2Paxos, &Scenario::m2paxos>},
+    {ProtocolKind::kMencius, "Mencius", "mencius", true,
+     make_protocol<mencius::Mencius, &Scenario::mencius>},
+    {ProtocolKind::kMultiPaxos, "MultiPaxos", "multipaxos", true,
+     make_protocol<mpaxos::MultiPaxos, &Scenario::multipaxos>},
+    {ProtocolKind::kClockRsm, "ClockRSM", "clockrsm", true,
+     make_protocol<clockrsm::ClockRsm, &Scenario::clockrsm>},
+};
+
+}  // namespace
+
+std::span<const ProtocolInfo> protocol_table() { return kProtocolTable; }
+
+const ProtocolInfo& protocol_info(ProtocolKind kind) {
+  for (const ProtocolInfo& p : kProtocolTable) {
+    if (p.kind == kind) return p;
   }
-  return "?";
+  throw std::invalid_argument("unknown protocol kind");
+}
+
+std::string_view to_string(ProtocolKind kind) {
+  return protocol_info(kind).name;
 }
 
 // ---------------------------------------------------------------------------
 // FaultEvent
 // ---------------------------------------------------------------------------
 
-FaultEvent FaultEvent::Crash(NodeId node, Time at) {
-  FaultEvent e;
-  e.kind = Kind::kCrash;
-  e.node = node;
-  e.at = at;
-  return e;
+FaultEvent FaultEvent::Crash(NodeId node, Time at, std::int32_t group) {
+  return {.kind = Kind::kCrash, .at = at, .node = node, .group = group};
 }
 
-FaultEvent FaultEvent::Recover(NodeId node, Time at) {
-  FaultEvent e;
-  e.kind = Kind::kRecover;
-  e.node = node;
-  e.at = at;
-  return e;
+FaultEvent FaultEvent::Recover(NodeId node, Time at, std::int32_t group) {
+  return {.kind = Kind::kRecover, .at = at, .node = node, .group = group};
 }
 
-FaultEvent FaultEvent::Partition(NodeId a, NodeId b, Time at) {
-  FaultEvent e;
-  e.kind = Kind::kPartition;
-  e.a = a;
-  e.b = b;
-  e.at = at;
-  return e;
+FaultEvent FaultEvent::Partition(NodeId a, NodeId b, Time at,
+                                 std::int32_t group) {
+  return {.kind = Kind::kPartition, .at = at, .a = a, .b = b, .group = group};
 }
 
-FaultEvent FaultEvent::Heal(NodeId a, NodeId b, Time at) {
-  FaultEvent e;
-  e.kind = Kind::kHeal;
-  e.a = a;
-  e.b = b;
-  e.at = at;
-  return e;
+FaultEvent FaultEvent::Heal(NodeId a, NodeId b, Time at, std::int32_t group) {
+  return {.kind = Kind::kHeal, .at = at, .a = a, .b = b, .group = group};
 }
 
 FaultEvent FaultEvent::PowerLoss(Time at) {
-  FaultEvent e;
-  e.kind = Kind::kPowerLoss;
-  e.at = at;
-  return e;
+  return {.kind = Kind::kPowerLoss, .at = at};
 }
 
 FaultEvent FaultEvent::Restart(NodeId node, Time at) {
-  FaultEvent e;
-  e.kind = Kind::kRestart;
-  e.node = node;
-  e.at = at;
-  return e;
+  return {.kind = Kind::kRestart, .at = at, .node = node};
 }
 
 std::string to_string(const FaultEvent& e) {
@@ -233,20 +232,24 @@ ScenarioBuilder& ScenarioBuilder::quiesce(Time at) {
   s_.phases.push_back(wl::PhaseSpec::quiesce(at));
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::crash(NodeId node, Time at) {
-  s_.faults.push_back(FaultEvent::Crash(node, at));
+ScenarioBuilder& ScenarioBuilder::crash(NodeId node, Time at,
+                                        std::int32_t group) {
+  s_.faults.push_back(FaultEvent::Crash(node, at, group));
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::recover(NodeId node, Time at) {
-  s_.faults.push_back(FaultEvent::Recover(node, at));
+ScenarioBuilder& ScenarioBuilder::recover(NodeId node, Time at,
+                                          std::int32_t group) {
+  s_.faults.push_back(FaultEvent::Recover(node, at, group));
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::partition(NodeId a, NodeId b, Time at) {
-  s_.faults.push_back(FaultEvent::Partition(a, b, at));
+ScenarioBuilder& ScenarioBuilder::partition(NodeId a, NodeId b, Time at,
+                                            std::int32_t group) {
+  s_.faults.push_back(FaultEvent::Partition(a, b, at, group));
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::heal(NodeId a, NodeId b, Time at) {
-  s_.faults.push_back(FaultEvent::Heal(a, b, at));
+ScenarioBuilder& ScenarioBuilder::heal(NodeId a, NodeId b, Time at,
+                                       std::int32_t group) {
+  s_.faults.push_back(FaultEvent::Heal(a, b, at, group));
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::power_loss(Time at) {
@@ -255,35 +258,6 @@ ScenarioBuilder& ScenarioBuilder::power_loss(Time at) {
 }
 ScenarioBuilder& ScenarioBuilder::restart(NodeId node, Time at) {
   s_.faults.push_back(FaultEvent::Restart(node, at));
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::crash_in_group(std::int32_t group,
-                                                 NodeId node, Time at) {
-  FaultEvent e = FaultEvent::Crash(node, at);
-  e.group = group;
-  s_.faults.push_back(e);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::recover_in_group(std::int32_t group,
-                                                   NodeId node, Time at) {
-  FaultEvent e = FaultEvent::Recover(node, at);
-  e.group = group;
-  s_.faults.push_back(e);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::partition_in_group(std::int32_t group,
-                                                     NodeId a, NodeId b,
-                                                     Time at) {
-  FaultEvent e = FaultEvent::Partition(a, b, at);
-  e.group = group;
-  s_.faults.push_back(e);
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::heal_in_group(std::int32_t group, NodeId a,
-                                                NodeId b, Time at) {
-  FaultEvent e = FaultEvent::Heal(a, b, at);
-  e.group = group;
-  s_.faults.push_back(e);
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::data_dir(std::string v) {
@@ -322,10 +296,6 @@ ScenarioBuilder& ScenarioBuilder::metrics_window(Time width) {
   s_.metrics_window_us = width;
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::sample_stats_at(Time v) {
-  s_.sample_stats_at.push_back(v);
-  return *this;
-}
 
 Scenario ScenarioBuilder::build() const {
   Scenario s = s_;
@@ -337,7 +307,6 @@ Scenario ScenarioBuilder::build() const {
                    [](const wl::PhaseSpec& x, const wl::PhaseSpec& y) {
                      return x.at < y.at;
                    });
-  std::sort(s.sample_stats_at.begin(), s.sample_stats_at.end());
   validate_scenario(s);
   return s;
 }
@@ -370,6 +339,8 @@ void validate_scenario(const Scenario& s) {
   if (s.warmup < 0 || s.warmup >= s.duration) {
     fail(s, "warmup must lie in [0, duration)");
   }
+  if (s.timeline_bucket <= 0) fail(s, "timeline_bucket must be positive");
+  if (s.fd_timeout_us < 0) fail(s, "fd_timeout_us must be non-negative");
   if (s.workload.conflict_fraction < 0.0 ||
       s.workload.conflict_fraction > 1.0) {
     fail(s, "workload.conflict_fraction must lie in [0, 1]");
@@ -419,19 +390,10 @@ void validate_scenario(const Scenario& s) {
          "node sweeps still-pending accept entries before its peers' "
          "fd-retraction re-ACCEPTs arrive");
   }
-  // Mencius, Multi-Paxos and Clock-RSM count quorum acks in 64-bit node
-  // bitmasks, CAESAR counts replies in them too, and every protocol on
-  // rt::RecoveryDriver (all of these plus EPaxos) tracks suspected peers in
-  // one.
-  if ((s.protocol == ProtocolKind::kMencius ||
-       s.protocol == ProtocolKind::kMultiPaxos ||
-       s.protocol == ProtocolKind::kClockRsm ||
-       s.protocol == ProtocolKind::kCaesar ||
-       s.protocol == ProtocolKind::kEPaxos) &&
-      n > 64) {
-    fail(s,
-         "Mencius/MultiPaxos/ClockRSM/CAESAR/EPaxos support at most 64 sites "
-         "(bitmask)");
+  if (protocol_info(s.protocol).bitmask_sites && n > 64) {
+    fail(s, std::string(to_string(s.protocol)) +
+                " supports at most 64 sites (its quorum and suspect sets are "
+                "64-bit node bitmasks)");
   }
   if (s.protocol == ProtocolKind::kCaesar &&
       s.caesar.fast_quorum_override > n) {
@@ -534,12 +496,6 @@ void validate_scenario(const Scenario& s) {
     fail(s, "workload.clients_per_site must be positive");
   }
 
-  for (Time t : s.sample_stats_at) {
-    if (t < 0 || t > s.duration) {
-      fail(s, "sample_stats_at instant outside [0, duration]");
-    }
-  }
-
   if (s.metrics_window_us < 0) {
     fail(s, "metrics_window_us must be non-negative (0 = per-phase windows)");
   }
@@ -574,39 +530,10 @@ namespace detail {
 rt::Cluster::ProtocolFactory make_factory(
     const Scenario& s, std::vector<stats::ProtocolStats>& stats,
     std::size_t offset) {
-  switch (s.protocol) {
-    case ProtocolKind::kCaesar:
-      return [&s, &stats, offset](rt::Env& env, rt::Protocol::DeliverFn deliver) {
-        return std::make_unique<core::Caesar>(
-            env, std::move(deliver), s.caesar, &stats[offset + env.id()]);
-      };
-    case ProtocolKind::kEPaxos:
-      return [&s, &stats, offset](rt::Env& env, rt::Protocol::DeliverFn deliver) {
-        return std::make_unique<epaxos::EPaxos>(
-            env, std::move(deliver), s.epaxos, &stats[offset + env.id()]);
-      };
-    case ProtocolKind::kM2Paxos:
-      return [&s, &stats, offset](rt::Env& env, rt::Protocol::DeliverFn deliver) {
-        return std::make_unique<m2paxos::M2Paxos>(
-            env, std::move(deliver), s.m2paxos, &stats[offset + env.id()]);
-      };
-    case ProtocolKind::kMencius:
-      return [&s, &stats, offset](rt::Env& env, rt::Protocol::DeliverFn deliver) {
-        return std::make_unique<mencius::Mencius>(
-            env, std::move(deliver), s.mencius, &stats[offset + env.id()]);
-      };
-    case ProtocolKind::kMultiPaxos:
-      return [&s, &stats, offset](rt::Env& env, rt::Protocol::DeliverFn deliver) {
-        return std::make_unique<mpaxos::MultiPaxos>(
-            env, std::move(deliver), s.multipaxos, &stats[offset + env.id()]);
-      };
-    case ProtocolKind::kClockRsm:
-      return [&s, &stats, offset](rt::Env& env, rt::Protocol::DeliverFn deliver) {
-        return std::make_unique<clockrsm::ClockRsm>(
-            env, std::move(deliver), s.clockrsm, &stats[offset + env.id()]);
-      };
-  }
-  throw std::invalid_argument("unknown protocol kind");
+  return [&s, &stats, offset, make = protocol_info(s.protocol).make](
+             rt::Env& env, rt::Protocol::DeliverFn deliver) {
+    return make(s, env, std::move(deliver), &stats[offset + env.id()]);
+  };
 }
 
 stats::ProtocolStats aggregate(const std::vector<stats::ProtocolStats>& per_node,
@@ -616,12 +543,8 @@ stats::ProtocolStats aggregate(const std::vector<stats::ProtocolStats>& per_node
       count == SIZE_MAX ? per_node.size()
                         : std::min(per_node.size(), offset + count);
   for (std::size_t i = offset; i < end; ++i) {
-    const stats::ProtocolStats& s = per_node[i];
-    total += s;
-    total.wait_time.merge(s.wait_time);
-    total.propose_phase.merge(s.propose_phase);
-    total.retry_phase.merge(s.retry_phase);
-    total.deliver_phase.merge(s.deliver_phase);
+    total += per_node[i];
+    total.merge(per_node[i]);
   }
   return total;
 }
@@ -731,7 +654,7 @@ struct BoundarySnap {
   /// Per-node latency-pool sample counts (group-major, like
   /// RunReport::per_node); adjacent snapshots delimit the samples each
   /// window range-merges into its phase breakdown.
-  std::vector<stats::ProtocolStats::PoolCounts> pools;
+  std::vector<stats::PhasePools::SampleCounts> pools;
 };
 
 /// Fills window `w` with what happened between two boundary snapshots: the
@@ -746,13 +669,7 @@ void fill_window(stats::MetricsWindow& w, const Counts& c0, const Counts& c1,
   w.bytes = c1.bytes - c0.bytes;
   w.proto = c1.proto - c0.proto;
   for (std::size_t node = lo; node < hi; ++node) {
-    const auto& f = from.pools[node];
-    const auto& t = to.pools[node];
-    const stats::ProtocolStats& ps = per_node[node];
-    w.wait_time.merge_range(ps.wait_time, f.wait, t.wait);
-    w.propose_phase.merge_range(ps.propose_phase, f.propose, t.propose);
-    w.retry_phase.merge_range(ps.retry_phase, f.retry, t.retry);
-    w.deliver_phase.merge_range(ps.deliver_phase, f.deliver, t.deliver);
+    w.merge_range(per_node[node], from.pools[node], to.pools[node]);
   }
 }
 
@@ -980,15 +897,6 @@ RunReport run_scenario(const Scenario& s) {
     });
   }
 
-  // Mid-run protocol-counter snapshots.
-  result.samples.reserve(s.sample_stats_at.size());
-  for (Time t : s.sample_stats_at) {
-    sim.at(t, [&result, &pool, t] {
-      result.samples.push_back(
-          StatsSample{t, aggregate(result.per_node), pool.completed()});
-    });
-  }
-
   // Window-boundary snapshots of the monotone counters, run-wide and per
   // group. Interior boundaries fire as events — scheduled before the run
   // starts, so at a shared instant they execute ahead of activity scheduled
@@ -1013,7 +921,7 @@ RunReport run_scenario(const Scenario& s) {
     }
     snap.pools.resize(result.per_node.size());
     for (std::size_t i = 0; i < result.per_node.size(); ++i) {
-      snap.pools[i] = result.per_node[i].pool_counts();
+      snap.pools[i] = result.per_node[i].sample_counts();
     }
   };
   for (std::size_t i = 0; i < result.windows.size(); ++i) {
@@ -1116,6 +1024,26 @@ void ensure_builtins() {
   register_builtins();
 }
 
+/// The rejoin scenarios' shared prefix: Mencius under 6 closed-loop clients
+/// per site at 10% conflicts, a 500 ms failure detector, and a quiesce tail
+/// from t=10s that lets the consistency oracle prove convergence.
+ScenarioBuilder rejoin_base(std::string name, std::uint64_t seed) {
+  wl::WorkloadConfig w;
+  w.clients_per_site = 6;
+  w.conflict_fraction = 0.10;
+  w.reconnect_delay_us = 1 * kSec;
+  ScenarioBuilder b(std::move(name));
+  b.protocol(ProtocolKind::kMencius)
+      .workload(w)
+      .closed_loop(0, 6)
+      .quiesce(10 * kSec)
+      .fd_timeout(500 * kMs)
+      .duration(12 * kSec)
+      .warmup(1 * kSec)
+      .seed(seed);
+  return b;
+}
+
 void register_builtins() {
   register_scenario(ScenarioInfo{
       "quickstart",
@@ -1166,7 +1094,7 @@ void register_builtins() {
       "partition-heal",
       "Virginia loses its links to Frankfurt and Ireland between t=4s and "
       "t=8s (fast quorum unreachable from Virginia), then the links heal; "
-      "snapshots at the boundaries expose the fast-path dip and recovery",
+      "the fast path dips while the links are cut and recovers after",
       [] {
         core::CaesarConfig caesar;
         caesar.gossip_interval_us = 200 * kMs;
@@ -1179,8 +1107,6 @@ void register_builtins() {
             .partition(0, 3, 4 * kSec)
             .heal(0, 2, 8 * kSec)
             .heal(0, 3, 8 * kSec)
-            .sample_stats_at(4 * kSec)
-            .sample_stats_at(8 * kSec)
             .duration(14 * kSec)
             .warmup(1 * kSec)
             .seed(7)
@@ -1220,21 +1146,9 @@ void register_builtins() {
       "(default protocol Mencius, where a missed slot was previously "
       "silently skipped)",
       [] {
-        wl::WorkloadConfig w;
-        w.clients_per_site = 6;
-        w.conflict_fraction = 0.10;
-        w.reconnect_delay_us = 1 * kSec;
-        return ScenarioBuilder("crash-long")
-            .protocol(ProtocolKind::kMencius)
-            .workload(w)
-            .closed_loop(0, 6)
-            .quiesce(10 * kSec)
+        return rejoin_base("crash-long", 23)
             .crash(2, 3 * kSec)
             .recover(2, 6 * kSec)
-            .fd_timeout(500 * kMs)
-            .duration(12 * kSec)
-            .warmup(1 * kSec)
-            .seed(23)
             .build();
       }});
 
@@ -1245,23 +1159,7 @@ void register_builtins() {
       "quorum agreement, Clock-RSM excludes its frozen clock) instead of "
       "wedging behind an owner that will never answer; quiesce tail for "
       "the consistency oracle",
-      [] {
-        wl::WorkloadConfig w;
-        w.clients_per_site = 6;
-        w.conflict_fraction = 0.10;
-        w.reconnect_delay_us = 1 * kSec;
-        return ScenarioBuilder("dead-node")
-            .protocol(ProtocolKind::kMencius)
-            .workload(w)
-            .closed_loop(0, 6)
-            .quiesce(10 * kSec)
-            .crash(4, 3 * kSec)
-            .fd_timeout(500 * kMs)
-            .duration(12 * kSec)
-            .warmup(1 * kSec)
-            .seed(29)
-            .build();
-      }});
+      [] { return rejoin_base("dead-node", 29).crash(4, 3 * kSec).build(); }});
 
   register_scenario(ScenarioInfo{
       "power-loss",
@@ -1271,21 +1169,8 @@ void register_builtins() {
       "durable prefixes, reconcile via catch-up and converge; quiesce tail "
       "for the consistency oracle",
       [] {
-        wl::WorkloadConfig w;
-        w.clients_per_site = 6;
-        w.conflict_fraction = 0.10;
-        w.reconnect_delay_us = 1 * kSec;
-        ScenarioBuilder b("power-loss");
-        b.protocol(ProtocolKind::kMencius)
-            .workload(w)
-            .closed_loop(0, 6)
-            .quiesce(10 * kSec)
-            .power_loss(4 * kSec)
-            .data_dir("caesar-data/power-loss")
-            .fd_timeout(500 * kMs)
-            .duration(12 * kSec)
-            .warmup(1 * kSec)
-            .seed(31);
+        ScenarioBuilder b = rejoin_base("power-loss", 31);
+        b.power_loss(4 * kSec).data_dir("caesar-data/power-loss");
         for (NodeId i = 0; i < 5; ++i) b.restart(i, 5 * kSec);
         return b.build();
       }});
@@ -1297,22 +1182,10 @@ void register_builtins() {
       "the durable prefix locally, the PR-5 catch-up path fetches only the "
       "suffix it missed; quiesce tail for the consistency oracle",
       [] {
-        wl::WorkloadConfig w;
-        w.clients_per_site = 6;
-        w.conflict_fraction = 0.10;
-        w.reconnect_delay_us = 1 * kSec;
-        return ScenarioBuilder("restart-disk")
-            .protocol(ProtocolKind::kMencius)
-            .workload(w)
-            .closed_loop(0, 6)
-            .quiesce(10 * kSec)
+        return rejoin_base("restart-disk", 37)
             .crash(2, 3 * kSec)
             .restart(2, 6 * kSec)
             .data_dir("caesar-data/restart-disk")
-            .fd_timeout(500 * kMs)
-            .duration(12 * kSec)
-            .warmup(1 * kSec)
-            .seed(37)
             .build();
       }});
 
@@ -1422,8 +1295,8 @@ void register_builtins() {
             .closed_loop(0, 40)
             .quiesce(10 * kSec)
             .shards(4)
-            .crash_in_group(1, 2, 4 * kSec)
-            .recover_in_group(1, 2, 8 * kSec)
+            .crash(2, 4 * kSec, /*group=*/1)
+            .recover(2, 8 * kSec, /*group=*/1)
             .fd_timeout(500 * kMs)
             .metrics_window(2 * kSec)
             .duration(12 * kSec)

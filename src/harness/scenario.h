@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,6 +52,33 @@ enum class ProtocolKind {
   kClockRsm,  // extension: related-work baseline (paper §II)
 };
 
+struct Scenario;
+
+/// What the harness knows of one protocol; protocol_table() has one row per
+/// ProtocolKind.
+struct ProtocolInfo {
+  ProtocolKind kind;
+  /// In reports and provenance ("Caesar").
+  std::string_view name;
+  /// In scenario files and `--set protocol=` ("caesar").
+  std::string_view key;
+  /// Counts quorum acks or suspected peers in 64-bit node bitmasks, so runs
+  /// on at most 64 sites.
+  bool bitmask_sites;
+  /// Builds one node's instance from the scenario's config member for this
+  /// protocol, its counters landing in `stats`.
+  std::unique_ptr<rt::Protocol> (*make)(const Scenario& s, rt::Env& env,
+                                        rt::Protocol::DeliverFn deliver,
+                                        stats::ProtocolStats* stats);
+};
+
+/// Every protocol's row, in ProtocolKind order.
+std::span<const ProtocolInfo> protocol_table();
+/// The row of `kind`; throws std::invalid_argument for a value outside the
+/// enum.
+const ProtocolInfo& protocol_info(ProtocolKind kind);
+
+/// The report name, protocol_info(kind).name.
 std::string_view to_string(ProtocolKind kind);
 
 /// One entry of a scenario's fault timeline.
@@ -77,10 +105,13 @@ struct FaultEvent {
   static constexpr std::int32_t kAllGroups = -1;
   std::int32_t group = kAllGroups;
 
-  static FaultEvent Crash(NodeId node, Time at);
-  static FaultEvent Recover(NodeId node, Time at);
-  static FaultEvent Partition(NodeId a, NodeId b, Time at);
-  static FaultEvent Heal(NodeId a, NodeId b, Time at);
+  static FaultEvent Crash(NodeId node, Time at, std::int32_t group = kAllGroups);
+  static FaultEvent Recover(NodeId node, Time at,
+                            std::int32_t group = kAllGroups);
+  static FaultEvent Partition(NodeId a, NodeId b, Time at,
+                              std::int32_t group = kAllGroups);
+  static FaultEvent Heal(NodeId a, NodeId b, Time at,
+                         std::int32_t group = kAllGroups);
   static FaultEvent PowerLoss(Time at);
   static FaultEvent Restart(NodeId node, Time at);
 };
@@ -134,11 +165,9 @@ struct Scenario {
   Time timeline_bucket = 500 * kMs;
   /// Fixed metrics-window width (0 = one window per workload phase instead).
   /// When set, the runner slices [warmup, duration) into windows of this
-  /// width, each with its own latency pool and counter deltas.
+  /// width, each with its own latency pool and counter deltas, so e.g. a
+  /// fast-path fraction can be read before, during and after a fault.
   Time metrics_window_us = 0;
-  /// Instants at which to snapshot the aggregate protocol counters (lets
-  /// tests compare e.g. fast-path fractions before/during/after a fault).
-  std::vector<Time> sample_stats_at;
 };
 
 /// Fluent scenario construction. All setters return *this; build() validates
@@ -203,23 +232,21 @@ class ScenarioBuilder {
   /// the consistency oracle compares stores.
   ScenarioBuilder& quiesce(Time at);
 
-  // Fault schedule.
-  ScenarioBuilder& crash(NodeId node, Time at);
-  ScenarioBuilder& recover(NodeId node, Time at);
-  ScenarioBuilder& partition(NodeId a, NodeId b, Time at);
-  ScenarioBuilder& heal(NodeId a, NodeId b, Time at);
+  // Fault schedule. A `group` (sharded scenarios only) scopes the fault to
+  // one consensus group's replica while the site's other groups keep
+  // running; the default hits every group (see FaultEvent::group).
+  ScenarioBuilder& crash(NodeId node, Time at,
+                         std::int32_t group = FaultEvent::kAllGroups);
+  ScenarioBuilder& recover(NodeId node, Time at,
+                           std::int32_t group = FaultEvent::kAllGroups);
+  ScenarioBuilder& partition(NodeId a, NodeId b, Time at,
+                             std::int32_t group = FaultEvent::kAllGroups);
+  ScenarioBuilder& heal(NodeId a, NodeId b, Time at,
+                        std::int32_t group = FaultEvent::kAllGroups);
   /// Full-cluster power loss: every live node crashes at `at`.
   ScenarioBuilder& power_loss(Time at);
   /// Restart-from-disk of a crashed node (requires data_dir()).
   ScenarioBuilder& restart(NodeId node, Time at);
-  // Group-scoped faults (sharded scenarios only): hit one consensus group's
-  // replica while the site's other groups keep running.
-  ScenarioBuilder& crash_in_group(std::int32_t group, NodeId node, Time at);
-  ScenarioBuilder& recover_in_group(std::int32_t group, NodeId node, Time at);
-  ScenarioBuilder& partition_in_group(std::int32_t group, NodeId a, NodeId b,
-                                      Time at);
-  ScenarioBuilder& heal_in_group(std::int32_t group, NodeId a, NodeId b,
-                                 Time at);
 
   // Durable storage.
   ScenarioBuilder& data_dir(std::string v);
@@ -234,7 +261,6 @@ class ScenarioBuilder {
   ScenarioBuilder& check_consistency(bool v);
   ScenarioBuilder& timeline_bucket(Time v);
   ScenarioBuilder& metrics_window(Time width);
-  ScenarioBuilder& sample_stats_at(Time v);
 
   /// Validates (throws std::invalid_argument on inconsistency) and returns
   /// the scenario with faults and phases sorted by time.
@@ -246,7 +272,8 @@ class ScenarioBuilder {
 
 /// Checks a scenario against its own topology: protocol knobs that index
 /// sites (Multi-Paxos leader, CAESAR fast-quorum override), fault-event
-/// targets, phase ordering and rates, warmup vs duration. Throws
+/// targets, phase ordering and rates, warmup vs duration, timeline bucket
+/// and failure-detector timeout. Throws
 /// std::invalid_argument with a precise message on the first violation.
 void validate_scenario(const Scenario& s);
 

@@ -261,6 +261,13 @@ class JsonParser {
 template <typename E>
 using Name = std::pair<std::string_view, E>;
 
+/// A choice() row as its {name, value} pair.
+template <typename E>
+Name<E> named(const Name<E>& n) {
+  return n;
+}
+Name<ProtocolKind> named(const ProtocolInfo& p) { return {p.key, p.kind}; }
+
 struct Field {
   const JsonValue& v;
   std::string path;
@@ -316,11 +323,14 @@ struct Field {
     return v.number;
   }
 
-  template <typename E, std::size_t N>
-  void choice(E& out, const Name<E> (&names)[N]) const {
+  /// Sets `out` to the value this string names; `rows` are {name, value}
+  /// pairs or protocol table rows.
+  template <typename E, typename Rows>
+  void choice(E& out, const Rows& rows) const {
     const std::string name = string();
     std::string expected;
-    for (const auto& [n, value] : names) {
+    for (const auto& row : rows) {
+      const auto [n, value] = named(row);
       if (n == name) {
         out = value;
         return;
@@ -376,18 +386,6 @@ struct Field {
   }
 };
 
-constexpr Name<ProtocolKind> kProtocols[] = {
-    {"caesar", ProtocolKind::kCaesar},
-    {"epaxos", ProtocolKind::kEPaxos},
-    {"m2paxos", ProtocolKind::kM2Paxos},
-    {"mencius", ProtocolKind::kMencius},
-    {"multipaxos", ProtocolKind::kMultiPaxos},
-    {"clockrsm", ProtocolKind::kClockRsm}};
-constexpr Name<shard::Partition> kPartitions[] = {
-    {"hash", shard::Partition::kHash}, {"range", shard::Partition::kRange}};
-constexpr Name<shard::MultiKeyPolicy> kMultiKeyPolicies[] = {
-    {"pin-first-key", shard::MultiKeyPolicy::kPinFirstKey},
-    {"reject", shard::MultiKeyPolicy::kReject}};
 constexpr Name<wl::KeyDist> kKeyDists[] = {
     {"paper-conflict", wl::KeyDist::kPaperConflict},
     {"uniform", wl::KeyDist::kUniform},
@@ -473,7 +471,8 @@ struct Knob {
 // base's list whole.
 constexpr Knob kKnobs[] = {
     {"name", [](auto& s, auto& f) { f.read(s.name); }},
-    {"protocol", [](auto& s, auto& f) { f.choice(s.protocol, kProtocols); }},
+    {"protocol",
+     [](auto& s, auto& f) { f.choice(s.protocol, protocol_table()); }},
     {"clients_per_site",
      [](auto& s, auto& f) { f.read(s.workload.clients_per_site); }},
     {"conflict_pct",
@@ -505,9 +504,13 @@ constexpr Knob kKnobs[] = {
      [](auto& s, auto& f) { f.read(s.multipaxos.leader); }},
     {"shards.count", [](auto& s, auto& f) { f.read(s.shards.count); }},
     {"shards.partition",
-     [](auto& s, auto& f) { f.choice(s.shards.partition, kPartitions); }},
+     [](auto& s, auto& f) {
+       f.choice(s.shards.partition, shard::kPartitionNames);
+     }},
     {"shards.multi_key",
-     [](auto& s, auto& f) { f.choice(s.shards.multi_key, kMultiKeyPolicies); }},
+     [](auto& s, auto& f) {
+       f.choice(s.shards.multi_key, shard::kMultiKeyNames);
+     }},
     {"shards.range_keyspace",
      [](auto& s, auto& f) { f.read(s.shards.range_keyspace); }},
     {"key_dist.dist",

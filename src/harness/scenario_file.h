@@ -8,7 +8,7 @@
 //   {
 //     "name": "my-experiment",
 //     "base": "sharded-saturation",          // start from a registry entry
-//     "protocol": "mencius",                 // caesar|epaxos|m2paxos|mencius|multipaxos|clockrsm
+//     "protocol": "mencius",                 // a ProtocolInfo::key
 //     "clients_per_site": 100,               // these two shape only the
 //     "think_ms": 0,                         // default phase (no "phases")
 //     "conflict_pct": 10,

@@ -54,14 +54,6 @@ class M2Paxos final : public rt::Protocol {
   NodeId owner_of(Key k) const;
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t acquisitions() const { return acquisitions_; }
-  std::size_t inflight_acquisitions() const { return acquiring_.size(); }
-  std::size_t keys_being_acquired() const { return acquiring_keys_.size(); }
-  std::size_t inflight_accepts() const { return accepts_.size(); }
-  std::size_t queued_commands() const {
-    std::size_t n = 0;
-    for (const auto& [t, a] : acquiring_) n += a.queued.size();
-    return n;
-  }
 
  private:
   enum MsgType : std::uint16_t {

@@ -77,8 +77,6 @@ class Mencius final : public rt::Protocol {
 
   // --- introspection -------------------------------------------------------
   std::uint64_t next_own_slot() const { return next_own_slot_; }
-  std::uint64_t delivered_through() const { return next_deliver_; }
-  std::uint64_t floor_of(NodeId node) const { return floor_[node]; }
   /// A revocation verdict stands against `node` (some slot range of its was
   /// resolved commit-or-skip by a designated-revoker round).
   bool is_revoked(NodeId node) const {

@@ -62,7 +62,6 @@ class MultiPaxos final : public rt::Protocol {
   bool is_leader() const { return env_.id() == cfg_.leader; }
 
   // --- introspection -------------------------------------------------------
-  std::uint64_t delivered_through() const { return deliver_next_; }
   const rsm::CommandLog& delivered_log() const { return log_; }
 
  private:

@@ -68,7 +68,6 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
   }
 
   std::uint64_t reuses() const { return reuses_; }
-  std::size_t idle_buffers() const { return buffers_.size(); }
 
  private:
   void reclaim(std::unique_ptr<std::vector<std::byte>> shell) {

@@ -57,7 +57,6 @@ class Network {
   /// Reconnects a previously crashed node. Traffic queued while it was down
   /// stays lost; only messages sent from now on reach it.
   void recover_node(NodeId node);
-  bool is_crashed(NodeId node) const { return crashed_[node]; }
 
   /// Cuts or restores both directions of a link. While cut, messages on the
   /// link are held; restoring the link re-injects them (in order) with fresh

@@ -78,11 +78,6 @@ class Encoder {
     put_u8(static_cast<std::uint8_t>(v));
   }
 
-  void put_bytes(std::span<const std::byte> data) {
-    put_varint(data.size());
-    buf_.insert(buf_.end(), data.begin(), data.end());
-  }
-
   void put_string(std::string_view s) {
     put_varint(s.size());
     const auto* p = reinterpret_cast<const std::byte*>(s.data());

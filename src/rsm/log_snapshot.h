@@ -72,7 +72,6 @@ class CommandLog {
   /// First index whose command may still be retained; entries below this
   /// were compacted away (0 = nothing compacted).
   std::uint64_t base_index() const { return base_index_; }
-  std::uint64_t base_hash() const { return base_hash_; }
 
   std::size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }

@@ -150,7 +150,6 @@ class RecoveryDriver {
 
   /// Removes and returns the round for the protocol to decide from.
   Round close_round(NodeId dead);
-  void abandon_round(NodeId dead) { rounds_.erase(dead); }
   void clear_rounds() { rounds_.clear(); }
 
   /// Per-tick round maintenance: for every open round at least `period` old,

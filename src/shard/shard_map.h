@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string_view>
+#include <utility>
 
 #include "common/types.h"
 
@@ -29,12 +30,25 @@ namespace caesar::shard {
 enum class Partition { kHash, kRange };
 enum class MultiKeyPolicy { kPinFirstKey, kReject };
 
+/// Each value with its name in reports and scenario files.
+inline constexpr std::pair<std::string_view, Partition> kPartitionNames[] = {
+    {"hash", Partition::kHash}, {"range", Partition::kRange}};
+inline constexpr std::pair<std::string_view, MultiKeyPolicy>
+    kMultiKeyNames[] = {{"pin-first-key", MultiKeyPolicy::kPinFirstKey},
+                        {"reject", MultiKeyPolicy::kReject}};
+
 constexpr std::string_view to_string(Partition p) {
-  return p == Partition::kHash ? "hash" : "range";
+  for (const auto& [name, value] : kPartitionNames) {
+    if (value == p) return name;
+  }
+  return "?";
 }
 
 constexpr std::string_view to_string(MultiKeyPolicy p) {
-  return p == MultiKeyPolicy::kPinFirstKey ? "pin-first-key" : "reject";
+  for (const auto& [name, value] : kMultiKeyNames) {
+    if (value == p) return name;
+  }
+  return "?";
 }
 
 /// How a scenario shards its keyspace. count == 1 means unsharded: one

@@ -19,7 +19,7 @@
 
 namespace caesar::stats {
 
-struct MetricsWindow {
+struct MetricsWindow : PhasePools {
   /// Stable identifier: "phase0", "phase1", ... for per-phase windows,
   /// "win0", "win1", ... for fixed-width windows, "run" for the whole
   /// measurement interval.
@@ -37,15 +37,10 @@ struct MetricsWindow {
   /// Network traffic inside the window (delta of the network's counters).
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
-  /// Aggregate protocol-counter delta across all nodes.
+  /// Aggregate protocol-counter delta across all nodes. The PhasePools base
+  /// holds the per-window slices of the protocol-internal latency pools
+  /// (paper Fig 11): samples recorded inside [begin, end), summed over nodes.
   ProtocolCounters proto;
-
-  /// Per-window slices of the protocol-internal latency pools (paper
-  /// Fig 11): samples recorded inside [begin, end), summed over nodes.
-  LatencyStats wait_time;
-  LatencyStats propose_phase;
-  LatencyStats retry_phase;
-  LatencyStats deliver_phase;
 
   std::uint64_t completed() const { return latency.count(); }
 

@@ -4,6 +4,7 @@
 // metrics windows subtract to get per-window deltas.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iterator>
 
@@ -99,31 +100,69 @@ inline ProtocolCounters ProtocolCounters::operator-(
   return d;
 }
 
-/// A protocol's counters plus its latency pools.
-struct ProtocolStats : ProtocolCounters {
-  // CAESAR wait condition (Fig 11b): time proposals spend parked.
-  LatencyStats wait_time;
+/// A protocol's latency pools (paper Fig 11): CAESAR's wait condition and
+/// the leader's phase breakdown.
+struct PhasePools {
+  LatencyStats wait_time;      // proposals parked by the wait condition
+  LatencyStats propose_phase;  // propose sent -> outcome known
+  LatencyStats retry_phase;    // retry sent -> quorum of acks
+  LatencyStats deliver_phase;  // stable known -> command delivered locally
 
-  // Phase latency breakdown at the leader (Fig 11a).
-  LatencyStats propose_phase;   // propose sent -> outcome known
-  LatencyStats retry_phase;     // retry sent -> quorum of acks
-  LatencyStats deliver_phase;   // stable known -> command delivered locally
+  /// Sample count of each pool, in kPoolFields order. Pools are append-only
+  /// during a run, so two snapshots delimit the samples recorded between
+  /// them; merge_range turns that into per-window phase breakdowns.
+  using SampleCounts = std::array<std::uint64_t, 4>;
+  SampleCounts sample_counts() const;
 
-  /// Sample counts of the latency pools, snapshottable at window boundaries:
-  /// two snapshots delimit the samples recorded between them (pools are
-  /// append-only during a run), which LatencyStats::merge_range turns into
-  /// per-window phase breakdowns.
-  struct PoolCounts {
-    std::uint64_t wait = 0;
-    std::uint64_t propose = 0;
-    std::uint64_t retry = 0;
-    std::uint64_t deliver = 0;
-  };
-  PoolCounts pool_counts() const {
-    return PoolCounts{wait_time.count(), propose_phase.count(),
-                      retry_phase.count(), deliver_phase.count()};
+  /// Appends every sample of `o`'s pools.
+  void merge(const PhasePools& o);
+  /// Appends the samples `o`'s pools recorded between two snapshots.
+  void merge_range(const PhasePools& o, const SampleCounts& from,
+                   const SampleCounts& to);
+};
+
+/// Every pool with its report key, in report order. The PhasePools methods
+/// and the JSON emitter walk this list, so a new pool is a field above plus
+/// one entry here.
+struct PoolField {
+  const char* name;
+  LatencyStats PhasePools::*member;
+};
+inline constexpr PoolField kPoolFields[] = {
+    {"wait", &PhasePools::wait_time},
+    {"propose", &PhasePools::propose_phase},
+    {"retry", &PhasePools::retry_phase},
+    {"deliver", &PhasePools::deliver_phase},
+};
+static_assert(sizeof(PhasePools) ==
+                      std::size(kPoolFields) * sizeof(LatencyStats) &&
+                  std::tuple_size_v<PhasePools::SampleCounts> ==
+                      std::size(kPoolFields),
+              "every PhasePools pool needs a kPoolFields entry");
+
+inline PhasePools::SampleCounts PhasePools::sample_counts() const {
+  SampleCounts c{};
+  for (std::size_t i = 0; i < c.size(); ++i) {
+    c[i] = (this->*kPoolFields[i].member).count();
   }
+  return c;
+}
 
+inline void PhasePools::merge(const PhasePools& o) {
+  for (const PoolField& f : kPoolFields) (this->*f.member).merge(o.*f.member);
+}
+
+inline void PhasePools::merge_range(const PhasePools& o,
+                                    const SampleCounts& from,
+                                    const SampleCounts& to) {
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    const auto member = kPoolFields[i].member;
+    (this->*member).merge_range(o.*member, from[i], to[i]);
+  }
+}
+
+/// A protocol's counters plus its latency pools.
+struct ProtocolStats : ProtocolCounters, PhasePools {
   /// Snapshot of the plain counters (no latency pools) for window deltas.
   ProtocolCounters counters() const { return *this; }
 };

@@ -34,6 +34,16 @@ class TimeSeries {
 
   const std::vector<double>& buckets() const { return buckets_; }
 
+  /// Sum of the buckets from the one holding `t` to the last.
+  double sum_from(Time t) const {
+    double sum = 0.0;
+    for (std::size_t i = static_cast<std::size_t>(t / width_);
+         i < buckets_.size(); ++i) {
+      sum += buckets_[i];
+    }
+    return sum;
+  }
+
  private:
   Time width_;
   std::vector<double> buckets_;

@@ -177,7 +177,6 @@ class ClientPool {
 
   std::uint64_t completed() const { return completed_; }
   std::uint64_t submitted() const { return submitted_; }
-  std::size_t client_count() const { return clients_.size(); }
   /// Closed-loop clients currently allowed to submit (varies by phase).
   std::size_t active_client_count() const;
 

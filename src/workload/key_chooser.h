@@ -85,16 +85,10 @@ class ZipfTable {
 
 class KeyChooser {
  public:
-  /// The paper's conflict model (kPaperConflict).
-  KeyChooser(double conflict_fraction, std::uint64_t shared_pool_size,
-             std::uint64_t global_client_id)
-      : conflict_fraction_(conflict_fraction),
-        shared_pool_size_(shared_pool_size),
-        private_base_((1ull << 40) + (global_client_id << 12)) {}
-
-  /// Any distribution. `zipf` must be non-null for kZipfian (one shared
-  /// table per pool); the paper-model parameters are still carried so
-  /// kPaperConflict works through this constructor too.
+  /// Any distribution; a default KeyDistConfig is the paper's conflict
+  /// model (kPaperConflict), which draws from the conflict fraction and
+  /// shared pool. `zipf` must be non-null for kZipfian (one shared table per
+  /// pool).
   KeyChooser(const KeyDistConfig& dist, double conflict_fraction,
              std::uint64_t shared_pool_size, std::uint64_t global_client_id,
              std::shared_ptr<const ZipfTable> zipf = nullptr)

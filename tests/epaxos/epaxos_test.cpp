@@ -43,7 +43,7 @@ struct Fixture {
   void expect_consistent() {
     for (std::size_t i = 0; i < logs.size(); ++i) {
       for (std::size_t j = i + 1; j < logs.size(); ++j) {
-        EXPECT_TRUE(rsm::consistent_key_orders(logs[i], logs[j]))
+        EXPECT_TRUE(rsm::prefix_consistent_key_orders(logs[i], logs[j]))
             << "nodes " << i << " and " << j << " diverge";
       }
     }
@@ -201,7 +201,7 @@ TEST(EPaxosTest, CrashSweepPreservesSurvivorConsistency) {
     f.sim.run_until(8 * kSec);
     for (NodeId i = 1; i < 5; ++i) {
       for (NodeId j = static_cast<NodeId>(i + 1); j < 5; ++j) {
-        EXPECT_TRUE(rsm::consistent_key_orders(f.logs[i], f.logs[j]))
+        EXPECT_TRUE(rsm::prefix_consistent_key_orders(f.logs[i], f.logs[j]))
             << "crash_at=" << crash_at << " nodes " << i << "," << j;
       }
     }

@@ -189,19 +189,19 @@ Scenario sharded_pin(const std::string& name) {
     b.shards(4);
   } else if (name == "sharded-range3-faults") {
     b.shards(3, shard::Partition::kRange)
-        .partition_in_group(0, 0, 1, 1 * kSec)
-        .heal_in_group(0, 0, 1, 2 * kSec)
-        .crash_in_group(2, 2, 1500 * kMs)
-        .recover_in_group(2, 2, 3 * kSec)
+        .partition(0, 1, 1 * kSec, /*group=*/0)
+        .heal(0, 1, 2 * kSec, /*group=*/0)
+        .crash(2, 1500 * kMs, /*group=*/2)
+        .recover(2, 3 * kSec, /*group=*/2)
         .quiesce(4 * kSec)
         .duration(5 * kSec);
   } else if (name == "sharded-group-then-site-crash") {
     // Site 1's group-1 traffic fails over to site 2, which then dies whole:
     // the router hands the diverted requests back to their clients.
     b.shards(2)
-        .crash_in_group(1, 1, 1 * kSec)
+        .crash(1, 1 * kSec, /*group=*/1)
         .crash(2, 2 * kSec)
-        .recover_in_group(1, 1, 3 * kSec)
+        .recover(1, 3 * kSec, /*group=*/1)
         .recover(2, 4 * kSec)
         .quiesce(5 * kSec)
         .duration(6 * kSec);

@@ -125,6 +125,22 @@ TEST(ScenarioValidationTest, RejectsMalformedScenarios) {
                       .build());
 }
 
+TEST(ScenarioValidationTest, RejectsNonPositiveTimelineBucket) {
+  // A zero-width bucket would divide by zero at the first completion.
+  for (Time bucket : {Time{0}, Time{-1}}) {
+    EXPECT_THROW(ScenarioBuilder("t").timeline_bucket(bucket).build(),
+                 std::invalid_argument)
+        << bucket;
+  }
+}
+
+TEST(ScenarioValidationTest, RejectsNegativeFdTimeout) {
+  // The simulator would clamp the detector's past-due timers to now.
+  EXPECT_THROW(ScenarioBuilder("t").fd_timeout(-100 * kMs).build(),
+               std::invalid_argument);
+  EXPECT_NO_THROW(ScenarioBuilder("t").fd_timeout(0).build());
+}
+
 TEST(ScenarioValidationTest, HandBuiltScenarioPhasesValidateInAnyOrder) {
   // Scenario is a public aggregate: callers may fill phases out of time
   // order without going through the sorting builder.
@@ -193,7 +209,10 @@ TEST(ScenarioRegistryTest, UserRegistrationsAreSelectable) {
 // ---------------------------------------------------------------------------
 
 TEST(ScenarioRunTest, PartitionHealStaysConsistentAndFastPathRecovers) {
-  const Scenario s = make_scenario("partition-heal");
+  // 1s metrics windows over [1s, 14s), so the cut [4s, 8s) and the time
+  // after the heal are each a run of whole windows.
+  Scenario s = make_scenario("partition-heal");
+  s.metrics_window_us = 1 * kSec;
   RunReport r = run_scenario(s);
 
   // Delivery consistency across the partition: no two sites may disagree on
@@ -207,22 +226,17 @@ TEST(ScenarioRunTest, PartitionHealStaysConsistentAndFastPathRecovers) {
   EXPECT_TRUE(verdict.ok) << verdict.detail;
   EXPECT_GT(r.completed, 1000u);
 
-  // Fast-path fraction per window, from the mid-run snapshots taken at the
-  // partition (4s) and heal (8s) instants.
-  ASSERT_EQ(r.samples.size(), 2u);
-  const auto& at_partition = r.samples[0];
-  const auto& at_heal = r.samples[1];
-  auto window_fast_fraction = [](std::uint64_t f0, std::uint64_t s0,
-                                 std::uint64_t f1, std::uint64_t s1) {
-    const double total = static_cast<double>((f1 - f0) + (s1 - s0));
-    return total == 0 ? 1.0 : static_cast<double>(f1 - f0) / total;
+  // Fast-path fraction of the decisions taken inside [from, to).
+  auto fast_fraction = [&r](Time from, Time to) {
+    stats::ProtocolCounters c;
+    for (const stats::MetricsWindow& w : r.windows) {
+      if (w.begin >= from && w.end <= to) c += w.proto;
+    }
+    return c.decisions() == 0 ? 1.0 : c.fast_path_fraction();
   };
-  const double during = window_fast_fraction(
-      at_partition.proto.fast_decisions, at_partition.proto.slow_decisions,
-      at_heal.proto.fast_decisions, at_heal.proto.slow_decisions);
-  const double after = window_fast_fraction(
-      at_heal.proto.fast_decisions, at_heal.proto.slow_decisions,
-      r.proto.fast_decisions, r.proto.slow_decisions);
+  ASSERT_EQ(r.windows.size(), 13u);
+  const double during = fast_fraction(4 * kSec, 8 * kSec);
+  const double after = fast_fraction(8 * kSec, s.duration);
 
   // Virginia cannot reach its fast quorum while cut from Frankfurt and
   // Ireland, so a visible share of decisions go slow; after the heal the
@@ -298,12 +312,11 @@ TEST(ScenarioRunTest, CrashRecoverResumesDeliveryForEveryProtocol) {
         ProtocolKind::kClockRsm, ProtocolKind::kMultiPaxos}) {
     Scenario s = make_scenario("crash-recover");
     s.protocol = kind;  // node 2 crashes; the MultiPaxos leader (3) does not
-    s.sample_stats_at.push_back(10 * kSec);  // well after the 8s recovery
     RunReport r = run_scenario(s);
     EXPECT_TRUE(r.consistent) << to_string(kind);
-    ASSERT_EQ(r.samples.size(), 1u) << to_string(kind);
-    // Real progress between 10s and the 14s end of the run.
-    EXPECT_GT(r.completed, r.samples[0].completed + 100) << to_string(kind);
+    // Real progress between 10s, well after the 8s recovery, and the 14s end
+    // of the run.
+    EXPECT_GT(r.timeline.sum_from(10 * kSec), 100.0) << to_string(kind);
     // Protocols with state transfer are additionally held to the prefix
     // oracle: the rejoined node's history must not omit missed commands
     // (EPaxos/M2Paxos instance-space catch-up is a ROADMAP follow-up).

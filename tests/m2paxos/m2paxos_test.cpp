@@ -42,7 +42,7 @@ struct Fixture {
   void expect_consistent() {
     for (std::size_t i = 0; i < logs.size(); ++i) {
       for (std::size_t j = i + 1; j < logs.size(); ++j) {
-        EXPECT_TRUE(rsm::consistent_key_orders(logs[i], logs[j]))
+        EXPECT_TRUE(rsm::prefix_consistent_key_orders(logs[i], logs[j]))
             << "nodes " << i << " and " << j << " diverge";
       }
     }

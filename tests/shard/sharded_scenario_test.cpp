@@ -149,8 +149,8 @@ TEST(ShardedScenarioTest, GroupScopedCrashLeavesOtherGroupRunning) {
                    .closed_loop(0, 6)
                    .quiesce(6 * kSec)
                    .shards(2)
-                   .crash_in_group(1, 1, 2 * kSec)
-                   .recover_in_group(1, 1, 4 * kSec)
+                   .crash(1, 2 * kSec, /*group=*/1)
+                   .recover(1, 4 * kSec, /*group=*/1)
                    .metrics_window(1 * kSec)
                    .duration(9 * kSec)
                    .warmup(500 * kMs)
@@ -191,8 +191,8 @@ TEST(ShardedScenarioTest, GroupScopedPartitionHealsConsistently) {
                    .closed_loop(0, 6)
                    .quiesce(6 * kSec)
                    .shards(2)
-                   .partition_in_group(0, 0, 1, 2 * kSec)
-                   .heal_in_group(0, 0, 1, 4 * kSec)
+                   .partition(0, 1, 2 * kSec, /*group=*/0)
+                   .heal(0, 1, 4 * kSec, /*group=*/0)
                    .metrics_window(1 * kSec)
                    .duration(9 * kSec)
                    .warmup(500 * kMs)
@@ -214,7 +214,7 @@ TEST(ShardedScenarioTest, ValidationRejectsFaultGroupOutOfRange) {
   EXPECT_THROW(ScenarioBuilder("bad")
                    .topology(net::Topology::lan(3))
                    .shards(2)
-                   .crash_in_group(2, 0, 1 * kSec)
+                   .crash(0, 1 * kSec, /*group=*/2)
                    .duration(3 * kSec)
                    .warmup(0)
                    .build(),
@@ -222,7 +222,7 @@ TEST(ShardedScenarioTest, ValidationRejectsFaultGroupOutOfRange) {
   EXPECT_THROW(ScenarioBuilder("bad")
                    .topology(net::Topology::lan(3))
                    .shards(2)
-                   .crash_in_group(-2, 0, 1 * kSec)
+                   .crash(0, 1 * kSec, /*group=*/-2)
                    .duration(3 * kSec)
                    .warmup(0)
                    .build(),
@@ -231,7 +231,7 @@ TEST(ShardedScenarioTest, ValidationRejectsFaultGroupOutOfRange) {
   // would take the site's only replica down behind the client pool's back.
   EXPECT_THROW(ScenarioBuilder("bad")
                    .topology(net::Topology::lan(3))
-                   .crash_in_group(0, 0, 1 * kSec)
+                   .crash(0, 1 * kSec, /*group=*/0)
                    .duration(3 * kSec)
                    .warmup(0)
                    .build(),

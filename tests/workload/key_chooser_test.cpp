@@ -112,19 +112,6 @@ TEST(KeyChooserTest, HotKeyColdTrafficAvoidsTheHotSet) {
   }
 }
 
-TEST(KeyChooserTest, PaperConflictModelStillWorksThroughTheDistCtor) {
-  // The two-argument-family constructor and the KeyDistConfig constructor
-  // must agree: same paper model, same draws.
-  KeyChooser legacy(/*conflict_fraction=*/0.3, /*shared_pool_size=*/100,
-                    /*global_client_id=*/5);
-  KeyDistConfig cfg;  // defaults to kPaperConflict
-  KeyChooser via_dist(cfg, 0.3, 100, 5);
-  Rng ra(11), rb(11);
-  for (int i = 0; i < 2000; ++i) {
-    EXPECT_EQ(legacy.next(ra), via_dist.next(rb));
-  }
-}
-
 TEST(ZipfTableTest, SampleStaysInRangeAndHitsRankZero) {
   ZipfTable table(100, 0.99);
   Rng rng(3);

@@ -11,7 +11,7 @@ namespace {
 
 TEST(KeyChooserTest, ZeroConflictNeverTouchesSharedPool) {
   Rng rng(1);
-  KeyChooser chooser(0.0, 100, /*client=*/7);
+  KeyChooser chooser(KeyDistConfig{}, 0.0, 100, /*global_client_id=*/7);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_GE(chooser.next(rng), 1ull << 40);  // private range
   }
@@ -19,7 +19,7 @@ TEST(KeyChooserTest, ZeroConflictNeverTouchesSharedPool) {
 
 TEST(KeyChooserTest, FullConflictAlwaysSharedPool) {
   Rng rng(1);
-  KeyChooser chooser(1.0, 100, 7);
+  KeyChooser chooser(KeyDistConfig{}, 1.0, 100, 7);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_LT(chooser.next(rng), 100u);
   }
@@ -27,7 +27,7 @@ TEST(KeyChooserTest, FullConflictAlwaysSharedPool) {
 
 TEST(KeyChooserTest, ConflictFractionIsRespected) {
   Rng rng(99);
-  KeyChooser chooser(0.3, 100, 7);
+  KeyChooser chooser(KeyDistConfig{}, 0.3, 100, 7);
   int shared = 0;
   const int total = 20000;
   for (int i = 0; i < total; ++i) {
@@ -39,8 +39,8 @@ TEST(KeyChooserTest, ConflictFractionIsRespected) {
 
 TEST(KeyChooserTest, DistinctClientsHaveDisjointPrivateKeys) {
   Rng rng(1);
-  KeyChooser a(0.0, 100, 1);
-  KeyChooser b(0.0, 100, 2);
+  KeyChooser a(KeyDistConfig{}, 0.0, 100, 1);
+  KeyChooser b(KeyDistConfig{}, 0.0, 100, 2);
   std::set<Key> ka, kb;
   for (int i = 0; i < 64; ++i) {
     ka.insert(a.next(rng));
