@@ -469,6 +469,9 @@ void EPaxos::on_node_suspected(NodeId peer) {
   for (InstanceId iid : unknown_deps_) {
     if (iid_leader(iid) == peer) to_recover.push_back(iid);
   }
+  // One stagger draw per instance, in id order: hash-container iteration
+  // order must not decide which instance gets which draw.
+  std::sort(to_recover.begin(), to_recover.end());
   for (InstanceId iid : to_recover) {
     const Time stagger = static_cast<Time>(env_.rng().uniform_int(
         static_cast<std::uint64_t>(cfg_.recovery_stagger_us) + 1));

@@ -258,13 +258,13 @@ constexpr ProtocolKind kCr = ProtocolKind::kClockRsm;
 
 const Pin kPins[] = {
     {"crash-long", kCa, 0x25ffe421b37a3e84},
-    {"crash-long", kEp, 0xe99b9f73b4a3ab8f},
+    {"crash-long", kEp, 0xb9ab6bdfc8621068},
     {"crash-long", kM2, 0xb902041170421945},
     {"crash-long", kMe, 0x42c468903377a8c6},
     {"crash-long", kMp, 0xab6f546e194c8970},
     {"crash-long", kCr, 0x6834e4c032ca9f42},
     {"crash-recover", kCa, 0x3c8c1d5549fa1542},
-    {"crash-recover", kEp, 0xc43328ba3cf0d69c},
+    {"crash-recover", kEp, 0xf467bc15e5bd137c},
     {"crash-recover", kM2, 0xaa6c425760230eea},
     {"crash-recover", kMe, 0xa0166b556e6a08a4},
     {"crash-recover", kMp, 0xf5ba27d32d2e8f95},
@@ -312,7 +312,7 @@ const Pin kPins[] = {
     {"rate-sweep", kMp, 0x06d83dea7ebe89ab},
     {"rate-sweep", kCr, 0xc0db044ab53623f0},
     {"restart-disk", kCa, 0xa70b1ca13eb73d93},
-    {"restart-disk", kEp, 0xe33f5b4865ccf398},
+    {"restart-disk", kEp, 0x124598714a699d89},
     {"restart-disk", kM2, 0x3e3e1fa59da5f2c7},
     {"restart-disk", kMe, 0x898fe647fdfe02cf},
     {"restart-disk", kMp, 0xfe73a64e5742d52d},
