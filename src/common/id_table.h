@@ -1,12 +1,13 @@
-// Open-addressing tables keyed by nonzero 64-bit ids: CAESAR's per-command
-// bookkeeping (command records, coordinators, parked proposals, waiter
-// lists) and the per-key lists of its conflict index.
+// Open-addressing tables keyed by nonzero 64-bit ids: the per-command and
+// per-instance bookkeeping of CAESAR and EPaxos (records, coordinators,
+// parked proposals, recoveries) and their per-key indexes.
 //
 // A lookup is one linear probe over a power-of-two array of 16-byte
 // {id, record*} cells placed by Fibonacci hashing. Deletion shifts the rest
 // of the probe chain back instead of leaving tombstones, so chains stay as
 // short as the load (at most one half) allows. Id 0 marks an empty cell and
-// is rejected as a key: CmdId 0 is kNoCmd and parking tickets start at 1.
+// is rejected as a key: CmdId 0 is kNoCmd, EPaxos instance slots and parking
+// tickets start at 1, and the per-key indexes keep key 0 outside the table.
 //
 // Records live in a slab of fixed-size pages and never move. Growth rehashes
 // only the cells, and erasing one id leaves every other record where it was,
@@ -25,7 +26,7 @@
 #include <utility>
 #include <vector>
 
-namespace caesar::core {
+namespace caesar {
 
 namespace detail {
 
@@ -284,4 +285,4 @@ class IdHashSet {
   detail::ProbeArray<Cell> cells_;
 };
 
-}  // namespace caesar::core
+}  // namespace caesar

@@ -25,8 +25,8 @@
 #include <optional>
 #include <vector>
 
+#include "common/id_table.h"
 #include "core/caesar_messages.h"
-#include "core/id_table.h"
 #include "core/key_index.h"
 #include "core/timestamp.h"
 #include "runtime/protocol.h"

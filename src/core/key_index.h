@@ -12,8 +12,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/id_table.h"
 #include "common/types.h"
-#include "core/id_table.h"
 #include "core/timestamp.h"
 
 namespace caesar::core {

@@ -1,7 +1,7 @@
-// Unit tests for the open-addressing tables behind CAESAR's per-command
+// Unit tests for the open-addressing tables behind CAESAR's and EPaxos's
 // bookkeeping: probe chains across the array end, backward-shift deletion,
 // growth, address-stable records, iteration and the empty-cell sentinel.
-#include "core/id_table.h"
+#include "common/id_table.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@
 #include "common/rng.h"
 #include "common/types.h"
 
-namespace caesar::core {
+namespace caesar {
 namespace {
 
 /// Record type that counts live instances, to check construction and
@@ -199,4 +199,4 @@ TEST(IdHashSetTest, InsertAndContainsAcrossGrowth) {
 }
 
 }  // namespace
-}  // namespace caesar::core
+}  // namespace caesar
