@@ -1,7 +1,7 @@
 // Google-benchmark micro-benchmarks for the hot data structures the
 // protocols lean on: serialization, the event queue (slab schedule/cancel/
-// run), IdSet unions, the per-key conflict index, and the CAESAR
-// wait-condition wakeup path end to end.
+// run), IdSet unions, the per-key conflict index, and end to end the CAESAR
+// wait-condition wakeup path and EPaxos's dependency-graph execution.
 //
 // `--json <file>` (or `--json=<file>`) writes the google-benchmark JSON
 // document to <file>; tools/bench_diff.py compares two such documents and
@@ -17,6 +17,7 @@
 #include "core/caesar.h"
 #include "core/key_index.h"
 #include "core/timestamp.h"
+#include "epaxos/epaxos.h"
 #include "net/serialization.h"
 #include "net/topology.h"
 #include "rsm/command.h"
@@ -234,43 +235,75 @@ void BM_KeyIndexMutate(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyIndexMutate)->Arg(64)->Arg(1024);
 
+/// One run of the one-key conflict stress: 5 nodes on a LAN each propose to
+/// key 1 every 100 us, `per_node` times, with `make(env, deliver)` building
+/// each node's protocol. Returns the commands delivered across all nodes.
+template <typename MakeProtocol>
+std::uint64_t run_one_key_conflicts(std::int64_t per_node,
+                                    MakeProtocol make) {
+  sim::Simulator sim(42);
+  std::uint64_t delivered = 0;
+  rt::Cluster cluster(sim, net::Topology::lan(5), rt::ClusterConfig{}, make,
+                      [&](NodeId, const rsm::Command&) { ++delivered; });
+  cluster.start();
+  std::uint64_t req = 0;
+  for (std::int64_t i = 0; i < per_node; ++i) {
+    for (NodeId n = 0; n < 5; ++n) {
+      sim.at(static_cast<Time>(i) * 100, [&cluster, n, &req] {
+        rsm::Command c;
+        c.ops.push_back(rsm::Op{1, make_req_id(n, ++req), req});
+        cluster.node(n).submit(std::move(c));
+      });
+    }
+  }
+  sim.run();
+  return delivered;
+}
+
 void BM_CaesarParkedWakeup(benchmark::State& state) {
   // End-to-end wait-condition stress: every node proposes to the same key at
   // once, so acceptors park proposals and the waiter index drives wakeups.
   // Counts delivered commands per second of wall clock across the whole
   // stack (simulator, network, runtime, protocol).
-  const std::int64_t per_node = state.range(0);
   std::uint64_t delivered_total = 0;
   for (auto _ : state) {
-    sim::Simulator sim(42);
     std::vector<stats::ProtocolStats> stats(5);
-    std::uint64_t delivered = 0;
-    rt::Cluster cluster(
-        sim, net::Topology::lan(5), rt::ClusterConfig{},
-        [&](rt::Env& env, rt::Protocol::DeliverFn deliver) {
+    const std::uint64_t delivered = run_one_key_conflicts(
+        state.range(0), [&](rt::Env& env, rt::Protocol::DeliverFn deliver) {
           return std::make_unique<core::Caesar>(env, std::move(deliver),
                                                 core::CaesarConfig{},
                                                 &stats[env.id()]);
-        },
-        [&](NodeId, const rsm::Command&) { ++delivered; });
-    cluster.start();
-    std::uint64_t req = 0;
-    for (std::int64_t i = 0; i < per_node; ++i) {
-      for (NodeId n = 0; n < 5; ++n) {
-        sim.at(static_cast<Time>(i) * 100, [&cluster, n, &req] {
-          rsm::Command c;
-          c.ops.push_back(rsm::Op{1, make_req_id(n, ++req), req});
-          cluster.node(n).submit(std::move(c));
         });
-      }
-    }
-    sim.run();
     delivered_total += delivered;
     benchmark::DoNotOptimize(delivered);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(delivered_total));
 }
 BENCHMARK(BM_CaesarParkedWakeup)->Arg(20)->Arg(100);
+
+void BM_EPaxosConflictExecute(benchmark::State& state) {
+  // Dependency-graph execution stress: the same one-key traffic on EPaxos.
+  // Concurrent proposals commit with dependencies on each other, and each
+  // commit walks the committed but unexecuted part of the graph (Tarjan's
+  // SCC search) before anything in it can run. That walk is the modelled
+  // delivery cost, and it grows with the backlog, so the benchmark is
+  // quadratic by construction. Counts delivered commands per second of wall
+  // clock across the whole stack.
+  std::uint64_t delivered_total = 0;
+  for (auto _ : state) {
+    std::vector<stats::ProtocolStats> stats(5);
+    const std::uint64_t delivered = run_one_key_conflicts(
+        state.range(0), [&](rt::Env& env, rt::Protocol::DeliverFn deliver) {
+          return std::make_unique<epaxos::EPaxos>(env, std::move(deliver),
+                                                  epaxos::EPaxosConfig{},
+                                                  &stats[env.id()]);
+        });
+    delivered_total += delivered;
+    benchmark::DoNotOptimize(delivered);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(delivered_total));
+}
+BENCHMARK(BM_EPaxosConflictExecute)->Arg(20)->Arg(100);
 
 void BM_LatencyPercentiles(benchmark::State& state) {
   // The report-emission pattern: many percentile reads over a settled pool.

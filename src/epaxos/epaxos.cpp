@@ -1,7 +1,7 @@
 #include "epaxos/epaxos.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
 
 #include "common/logging.h"
 #include "rsm/log_snapshot.h"
@@ -10,10 +10,11 @@ namespace caesar::epaxos {
 
 namespace {
 constexpr Time kEntriesPerUs = 16;
-/// Dependency-graph execution is pointer-chasing over hash maps with stack
-/// bookkeeping (Tarjan); calibrated at ~0.5us per visited node. This is the
-/// delivery cost the paper blames for EPaxos' degradation under load
-/// (§VI-A, Figs 8/9).
+/// Models the paper's graph-walk cost in simulated time: linearizing the
+/// dependency graph (Tarjan's SCC search with its stack bookkeeping) is
+/// charged ~0.5us per dependency visited, whatever the host code's data
+/// layout. This is the delivery cost the paper blames for EPaxos'
+/// degradation under load (§VI-A, Figs 8/9).
 constexpr Time kGraphNodesPerUs = 2;
 
 void encode_instance_msg(net::Encoder& e, InstanceId iid, Ballot ballot,
@@ -71,10 +72,7 @@ void EPaxos::on_recover() {
   // converges on whatever the cluster decided. Timer ids are stale after a
   // crash and must not be cancelled.
   std::vector<InstanceId> redrive;
-  for (auto& [iid, rc] : recovery_) {
-    rc.retry_timer = sim::kNoEvent;
-    redrive.push_back(iid);
-  }
+  for (const auto& [iid, rc] : recovery_) redrive.push_back(iid);
   recovery_.clear();
   for (const auto& [iid, c] : coord_) redrive.push_back(iid);
   coord_.clear();
@@ -86,24 +84,23 @@ void EPaxos::on_recover() {
 }
 
 bool EPaxos::is_executed(InstanceId iid) const {
-  auto it = instances_.find(iid);
-  return it != instances_.end() && it->second.status == IStatus::kExecuted;
+  const Instance* inst = instances_.find(iid);
+  return inst != nullptr && inst->status == IStatus::kExecuted;
 }
 
 bool EPaxos::is_committed(InstanceId iid) const {
-  auto it = instances_.find(iid);
-  return it != instances_.end() && (it->second.status == IStatus::kCommitted ||
-                                    it->second.status == IStatus::kExecuted);
+  const Instance* inst = instances_.find(iid);
+  return inst != nullptr && decided(*inst);
 }
 
 std::uint64_t EPaxos::seq_of(InstanceId iid) const {
-  auto it = instances_.find(iid);
-  return it == instances_.end() ? 0 : it->second.seq;
+  const Instance* inst = instances_.find(iid);
+  return inst == nullptr ? 0 : inst->seq;
 }
 
 IdSet EPaxos::deps_of(InstanceId iid) const {
-  auto it = instances_.find(iid);
-  return it == instances_.end() ? IdSet{} : it->second.deps;
+  const Instance* inst = instances_.find(iid);
+  return inst == nullptr ? IdSet{} : inst->deps;
 }
 
 // ---------------------------------------------------------------------------
@@ -116,10 +113,11 @@ std::pair<std::uint64_t, IdSet> EPaxos::attributes_for(const rsm::Command& cmd,
   std::vector<std::uint64_t> deps;
   Time scanned = 0;
   for (const rsm::Op& op : cmd.ops) {
-    auto it = key_info_.find(op.key);
-    if (it == key_info_.end()) continue;
-    seq = std::max(seq, it->second.max_seq + 1);
-    for (const auto& [replica, iid] : it->second.latest) {
+    const KeyInfo* info = find_key(op.key);
+    if (info == nullptr) continue;
+    seq = std::max(seq, info->max_seq + 1);
+    for (InstanceId iid : info->latest) {
+      if (iid == 0) continue;  // no instance of this leader yet
       ++scanned;
       if (iid != self) deps.push_back(iid);
     }
@@ -132,11 +130,22 @@ void EPaxos::note_instance(InstanceId iid, const rsm::Command& cmd,
                            std::uint64_t seq) {
   const NodeId leader = iid_leader(iid);
   for (const rsm::Op& op : cmd.ops) {
-    KeyInfo& info = key_info_[op.key];
-    auto [it, inserted] = info.latest.try_emplace(leader, iid);
-    if (!inserted && iid_slot(iid) > iid_slot(it->second)) it->second = iid;
+    KeyInfo& info = key_info(op.key);
+    InstanceId& latest = info.latest.at(leader);
+    if (latest == 0 || iid_slot(iid) > iid_slot(latest)) latest = iid;
     if (seq > info.max_seq) info.max_seq = seq;
   }
+}
+
+const EPaxos::KeyInfo* EPaxos::find_key(Key key) const {
+  if (key == 0) return key0_.latest.empty() ? nullptr : &key0_;
+  return keys_.find(key);
+}
+
+EPaxos::KeyInfo& EPaxos::key_info(Key key) {
+  KeyInfo& info = key == 0 ? key0_ : keys_[key];
+  if (info.latest.empty()) info.latest.assign(n_, 0);
+  return info;
 }
 
 // ---------------------------------------------------------------------------
@@ -148,52 +157,57 @@ void EPaxos::propose(rsm::Command cmd) {
   auto [seq, deps] = attributes_for(cmd, iid);
 
   Instance& inst = instances_[iid];
-  inst.cmd = cmd;
+  inst.cmd = std::move(cmd);
   inst.seq = seq;
   inst.deps = deps;
   inst.status = IStatus::kPreAccepted;
   inst.ballot = 0;
-  note_instance(iid, cmd, seq);
+  note_instance(iid, inst.cmd, seq);
 
-  Coordinator& c = coord_[iid];
-  c = Coordinator{};
-  c.ballot = 0;
+  Coordinator& c = open_coordinator(iid, inst, 0);
   c.seq = seq;
-  c.deps = deps;
   c.max_seq = seq;
   c.union_deps = deps;
-  c.start = env_.now();
+  c.deps = std::move(deps);
 
   net::Encoder e = env_.encoder();
-  encode_instance_msg(e, iid, 0, cmd, seq, deps);
+  encode_instance_msg(e, iid, 0, inst.cmd, seq, c.deps);
   env_.broadcast(kPreAccept, std::move(e), /*include_self=*/false);
+}
+
+EPaxos::Coordinator& EPaxos::open_coordinator(InstanceId iid, Instance& inst,
+                                              Ballot ballot) {
+  Coordinator& c = coord_[iid];
+  c = Coordinator{};
+  c.inst = &inst;
+  c.ballot = ballot;
+  c.start = env_.now();
+  return c;
 }
 
 void EPaxos::handle_pre_accept(NodeId from, net::Decoder& d) {
   InstanceMsg m = decode_instance_msg(d);
   Instance& inst = instances_[m.iid];
-  if (inst.ballot > m.ballot) return;
-  if (inst.status == IStatus::kCommitted || inst.status == IStatus::kExecuted)
-    return;
+  if (inst.ballot > m.ballot || decided(inst)) return;
 
   auto [local_seq, local_deps] = attributes_for(m.cmd, m.iid);
   const std::uint64_t seq = std::max(m.seq, local_seq);
-  IdSet deps = m.deps;
-  deps.merge(local_deps);
-  const bool changed = (seq != m.seq) || !(deps == m.deps);
+  // The union differs from the leader's deps iff it adds a local one.
+  const bool changed = (seq != m.seq) || !m.deps.is_superset_of(local_deps);
 
-  inst.cmd = m.cmd;
+  inst.cmd = std::move(m.cmd);
   inst.seq = seq;
-  inst.deps = deps;
+  inst.deps = std::move(m.deps);
+  inst.deps.merge(local_deps);
   inst.status = IStatus::kPreAccepted;
   inst.ballot = m.ballot;
-  note_instance(m.iid, m.cmd, seq);
+  note_instance(m.iid, inst.cmd, seq);
 
   net::Encoder e = env_.encoder();
   e.put_u64(m.iid);
   e.put_u64(m.ballot);
   e.put_varint(seq);
-  e.put_id_set(deps);
+  e.put_id_set(inst.deps);
   e.put_bool(changed);
   env_.send(from, kPreAcceptReply, std::move(e));
 }
@@ -206,23 +220,23 @@ void EPaxos::handle_pre_accept_reply(NodeId from, net::Decoder& d) {
   IdSet deps = d.get_id_set();
   const bool changed = d.get_bool();
 
-  auto it = coord_.find(iid);
-  if (it == coord_.end()) return;
-  Coordinator& c = it->second;
-  if (c.ballot != ballot || c.phase != Phase::kPreAccept) return;
-  ++c.replies;
-  if (changed) ++c.changed;
-  c.max_seq = std::max(c.max_seq, seq);
-  c.union_deps.merge(deps);
+  Coordinator* c = coord_.find(iid);
+  if (c == nullptr || c->ballot != ballot || c->phase != Phase::kPreAccept) {
+    return;
+  }
+  ++c->replies;
+  if (changed) ++c->changed;
+  c->max_seq = std::max(c->max_seq, seq);
+  c->union_deps.merge(deps);
   env_.charge_cpu(static_cast<Time>(deps.size()) / kEntriesPerUs);
 
   // EPaxos fast-path rule: leader + (fq-1) other replies, all with the
   // leader's attributes untouched. Any disagreement -> Paxos-Accept round.
-  if (c.replies == fq_ - 1) {
-    if (c.changed == 0) {
-      commit(iid, c.seq, c.deps, /*fast=*/true);
+  if (c->replies == fq_ - 1) {
+    if (c->changed == 0) {
+      commit(iid, *c, /*fast=*/true);
     } else {
-      start_accept_phase(iid, c.max_seq, c.union_deps);
+      start_accept_phase(iid, *c, c->max_seq, c->union_deps);
     }
   }
 }
@@ -231,47 +245,43 @@ void EPaxos::handle_pre_accept_reply(NodeId from, net::Decoder& d) {
 // Accept phase (slow path)
 // ---------------------------------------------------------------------------
 
-void EPaxos::start_accept_phase(InstanceId iid, std::uint64_t seq, IdSet deps) {
-  Instance& inst = instances_[iid];
+void EPaxos::start_accept_phase(InstanceId iid, Coordinator& c,
+                                std::uint64_t seq, IdSet deps) {
+  Instance& inst = *c.inst;
   // The decision may have raced in (a commit broadcast or catch-up reply
   // landing between quorum formation and this call): regressing a committed —
   // worse, executed — instance to kAccepted would let the eventual re-commit
   // deliver it a second time. The decision is in; stand down.
-  if (inst.status == IStatus::kCommitted || inst.status == IStatus::kExecuted) {
+  if (decided(inst)) {
     coord_.erase(iid);
     return;
   }
-  auto it = coord_.find(iid);
-  assert(it != coord_.end());
-  Coordinator& c = it->second;
   c.phase = Phase::kAccept;
   c.seq = seq;
   c.deps = deps;
   c.accept_acks = 1;  // self
 
   inst.seq = seq;
-  inst.deps = deps;
+  inst.deps = std::move(deps);
   inst.status = IStatus::kAccepted;
   inst.ballot = c.ballot;
   note_instance(iid, inst.cmd, seq);
 
   net::Encoder e = env_.encoder();
-  encode_instance_msg(e, iid, c.ballot, inst.cmd, seq, deps);
+  encode_instance_msg(e, iid, c.ballot, inst.cmd, seq, inst.deps);
   env_.broadcast(kAccept, std::move(e), /*include_self=*/false);
 }
 
 void EPaxos::handle_accept(NodeId from, net::Decoder& d) {
   InstanceMsg m = decode_instance_msg(d);
   Instance& inst = instances_[m.iid];
-  if (inst.ballot > m.ballot) return;
-  if (inst.status == IStatus::kCommitted || inst.status == IStatus::kExecuted)
-    return;
-  inst.cmd = m.cmd;
+  if (inst.ballot > m.ballot || decided(inst)) return;
+  inst.cmd = std::move(m.cmd);
   inst.seq = m.seq;
-  inst.deps = m.deps;
+  inst.deps = std::move(m.deps);
   inst.status = IStatus::kAccepted;
   inst.ballot = m.ballot;
-  note_instance(m.iid, m.cmd, m.seq);
+  note_instance(m.iid, inst.cmd, m.seq);
 
   net::Encoder e = env_.encoder();
   e.put_u64(m.iid);
@@ -283,25 +293,17 @@ void EPaxos::handle_accept_reply(NodeId from, net::Decoder& d) {
   (void)from;
   const InstanceId iid = d.get_u64();
   const Ballot ballot = d.get_u64();
-  auto it = coord_.find(iid);
-  if (it == coord_.end()) return;
-  Coordinator& c = it->second;
-  if (c.ballot != ballot || c.phase != Phase::kAccept) return;
-  ++c.accept_acks;
-  if (c.accept_acks == cq_) {
-    commit(iid, c.seq, c.deps, /*fast=*/false);
-  }
+  Coordinator* c = coord_.find(iid);
+  if (c == nullptr || c->ballot != ballot || c->phase != Phase::kAccept) return;
+  ++c->accept_acks;
+  if (c->accept_acks == cq_) commit(iid, *c, /*fast=*/false);
 }
 
 // ---------------------------------------------------------------------------
 // Commit + execution
 // ---------------------------------------------------------------------------
 
-void EPaxos::commit(InstanceId iid, std::uint64_t seq, IdSet deps, bool fast) {
-  auto it = coord_.find(iid);
-  assert(it != coord_.end());
-  Coordinator& c = it->second;
-  c.phase = Phase::kDone;
+void EPaxos::commit(InstanceId iid, Coordinator& c, bool fast) {
   if (stats_ != nullptr) {
     if (fast) {
       ++stats_->fast_decisions;
@@ -310,144 +312,155 @@ void EPaxos::commit(InstanceId iid, std::uint64_t seq, IdSet deps, bool fast) {
     }
     stats_->propose_phase.record(env_.now() - c.start);
   }
-  const rsm::Command cmd = instances_[iid].cmd;  // copy: apply_commit mutates
+  Instance& inst = *c.inst;
   net::Encoder e = env_.encoder();
-  encode_instance_msg(e, iid, c.ballot, cmd, seq, deps);
+  encode_instance_msg(e, iid, c.ballot, inst.cmd, c.seq, c.deps);
   env_.broadcast(kCommit, std::move(e), /*include_self=*/false);
-  apply_commit(iid, cmd, seq, std::move(deps));
+  apply_commit(iid, inst, inst.cmd, c.seq, std::move(c.deps));
   coord_.erase(iid);
 }
 
 void EPaxos::handle_commit(net::Decoder& d) {
   InstanceMsg m = decode_instance_msg(d);
-  apply_commit(m.iid, m.cmd, m.seq, std::move(m.deps));
+  apply_commit(m.iid, instances_[m.iid], std::move(m.cmd), m.seq,
+               std::move(m.deps));
 }
 
-void EPaxos::apply_commit(InstanceId iid, const rsm::Command& cmd,
+void EPaxos::apply_commit(InstanceId iid, Instance& inst, rsm::Command cmd,
                           std::uint64_t seq, IdSet deps) {
-  Instance& inst = instances_[iid];
-  if (inst.status == IStatus::kCommitted || inst.status == IStatus::kExecuted)
-    return;
-  inst.cmd = cmd;
+  if (decided(inst)) return;
+  inst.cmd = std::move(cmd);
   inst.seq = seq;
   inst.deps = std::move(deps);
   inst.status = IStatus::kCommitted;
-  note_instance(iid, cmd, seq);
-  unknown_deps_.erase(iid);
+  inst.unknown = false;
+  note_instance(iid, inst.cmd, seq);
 
-  try_execute(iid);
-  // Wake instances whose execution was blocked on this commit.
-  auto w = exec_waiters_.find(iid);
-  if (w != exec_waiters_.end()) {
-    std::vector<InstanceId> roots = std::move(w->second);
-    exec_waiters_.erase(w);
-    for (InstanceId root : roots) try_execute(root);
+  try_execute(iid, inst);
+  // Wake the roots whose execution was blocked on this commit, in the order
+  // they blocked. Each link goes back to the free list before its root runs,
+  // so the root may block again at once without growing the pool.
+  std::uint32_t link = inst.wait_head;
+  inst.wait_head = inst.wait_tail = kNoLink;
+  while (link != kNoLink) {
+    const WaitLink w = wait_links_[link];
+    wait_links_[link].next = free_link_;
+    free_link_ = link;
+    link = w.next;
+    if (Instance* root = instances_.find(w.root)) try_execute(w.root, *root);
   }
 }
 
-void EPaxos::execute_instance(Instance& inst, InstanceId iid) {
+void EPaxos::add_waiter(Instance& dep, InstanceId root) {
+  std::uint32_t link = free_link_;
+  if (link != kNoLink) {
+    free_link_ = wait_links_[link].next;
+    wait_links_[link] = WaitLink{root, kNoLink};
+  } else {
+    link = static_cast<std::uint32_t>(wait_links_.size());
+    wait_links_.push_back(WaitLink{root, kNoLink});
+  }
+  if (dep.wait_tail == kNoLink) {
+    dep.wait_head = link;
+  } else {
+    wait_links_[dep.wait_tail].next = link;
+  }
+  dep.wait_tail = link;
+}
+
+void EPaxos::execute_instance(Instance& inst) {
   inst.status = IStatus::kExecuted;
   ++executed_count_;
   if (!inst.cmd.ops.empty()) deliver_(inst.cmd);
-  (void)iid;
 }
 
-void EPaxos::try_execute(InstanceId root) {
-  {
-    auto rit = instances_.find(root);
-    if (rit == instances_.end() || rit->second.status != IStatus::kCommitted)
-      return;
-  }
+void EPaxos::try_execute(InstanceId root, Instance& root_inst) {
+  if (root_inst.status != IStatus::kCommitted) return;
   // Iterative Tarjan over committed-but-unexecuted instances reachable from
   // `root`. Components pop in dependency order (a component is emitted only
   // after everything it reaches), so executing them in emission order
   // respects the dependency graph; ties inside a component break by (seq,
-  // instance id) — exactly EPaxos' execution algorithm.
-  std::unordered_map<InstanceId, std::uint32_t> index, lowlink;
-  std::unordered_set<InstanceId> on_stack;
-  std::vector<InstanceId> stack;
+  // instance id) — exactly EPaxos' execution algorithm. Index, lowlink and
+  // on-stack marks live in the instance records under this walk's number,
+  // so a record stamped by an earlier walk reads as not yet visited.
+  const std::uint64_t walk = ++walks_;
   std::uint32_t next_index = 1;
   Time visited = 0;
+  frames_.clear();
+  stack_.clear();
+  components_.clear();
+  component_ends_.clear();
 
-  struct Frame {
-    InstanceId iid;
-    std::size_t dep_idx;
+  auto push_node = [&](InstanceId v, Instance& inst) {
+    inst.walk = walk;
+    inst.index = inst.lowlink = next_index++;
+    inst.on_stack = true;
+    stack_.push_back(WalkNode{v, &inst});
+    frames_.push_back(WalkFrame{&inst, 0});
   };
-  std::vector<Frame> frames;
-  std::vector<std::vector<InstanceId>> components;
+  push_node(root, root_inst);
 
-  auto push_node = [&](InstanceId v) {
-    index[v] = lowlink[v] = next_index++;
-    stack.push_back(v);
-    on_stack.insert(v);
-    frames.push_back(Frame{v, 0});
-  };
-  push_node(root);
-
-  while (!frames.empty()) {
-    Frame& f = frames.back();
-    Instance& inst = instances_.at(f.iid);
+  while (!frames_.empty()) {
+    WalkFrame& f = frames_.back();
+    Instance& inst = *f.inst;
     bool descended = false;
     while (f.dep_idx < inst.deps.size()) {
-      const InstanceId dep = *(inst.deps.begin() + static_cast<std::ptrdiff_t>(f.dep_idx));
+      const InstanceId dep = inst.deps.raw()[f.dep_idx];
       ++f.dep_idx;
       ++visited;
-      auto dit = instances_.find(dep);
-      if (dit == instances_.end() || dit->second.status == IStatus::kNone ||
-          dit->second.status == IStatus::kPreAccepted ||
-          dit->second.status == IStatus::kAccepted) {
+      Instance* di = instances_.find(dep);
+      if (di == nullptr || di->status < IStatus::kCommitted) {
         // Not committed yet: cannot linearize; park and retry on commit.
-        if (dit == instances_.end()) unknown_deps_.insert(dep);
-        exec_waiters_[dep].push_back(root);
+        if (di == nullptr) {
+          di = &instances_[dep];
+          di->unknown = true;
+        }
+        add_waiter(*di, root);
         env_.charge_cpu(visited / kGraphNodesPerUs);
         return;
       }
-      if (dit->second.status == IStatus::kExecuted) continue;
-      auto idx_it = index.find(dep);
-      if (idx_it == index.end()) {
-        push_node(dep);
+      if (di->status == IStatus::kExecuted) continue;
+      if (di->walk != walk) {
+        push_node(dep, *di);  // invalidates f
         descended = true;
         break;
       }
-      if (on_stack.count(dep) != 0) {
-        lowlink[f.iid] = std::min(lowlink[f.iid], idx_it->second);
-      }
+      if (di->on_stack) inst.lowlink = std::min(inst.lowlink, di->index);
     }
     if (descended) continue;
     // Node finished: pop component if root of SCC.
-    const InstanceId v = f.iid;
-    frames.pop_back();
-    if (!frames.empty()) {
-      lowlink[frames.back().iid] =
-          std::min(lowlink[frames.back().iid], lowlink[v]);
+    frames_.pop_back();
+    if (!frames_.empty()) {
+      Instance& parent = *frames_.back().inst;
+      parent.lowlink = std::min(parent.lowlink, inst.lowlink);
     }
-    if (lowlink[v] == index[v]) {
-      std::vector<InstanceId> comp;
-      while (true) {
-        const InstanceId w = stack.back();
-        stack.pop_back();
-        on_stack.erase(w);
-        comp.push_back(w);
-        if (w == v) break;
-      }
-      components.push_back(std::move(comp));
+    if (inst.lowlink == inst.index) {
+      WalkNode w;
+      do {
+        w = stack_.back();
+        stack_.pop_back();
+        w.inst->on_stack = false;
+        components_.push_back(w);
+      } while (w.inst != &inst);
+      component_ends_.push_back(components_.size());
     }
   }
 
   env_.charge_cpu(visited / kGraphNodesPerUs);
-  for (auto& comp : components) {
-    std::sort(comp.begin(), comp.end(), [this](InstanceId a, InstanceId b) {
-      const Instance& ia = instances_.at(a);
-      const Instance& ib = instances_.at(b);
-      if (ia.seq != ib.seq) return ia.seq < ib.seq;
-      return a < b;
-    });
-    for (InstanceId v : comp) {
-      Instance& inst = instances_.at(v);
-      if (inst.status == IStatus::kCommitted) execute_instance(inst, v);
+  std::size_t begin = 0;
+  for (std::size_t end : component_ends_) {
+    std::sort(components_.begin() + static_cast<std::ptrdiff_t>(begin),
+              components_.begin() + static_cast<std::ptrdiff_t>(end),
+              [](const WalkNode& a, const WalkNode& b) {
+                const std::uint64_t sa = a.inst->seq, sb = b.inst->seq;
+                return sa != sb ? sa < sb : a.iid < b.iid;
+              });
+    for (; begin < end; ++begin) {
+      Instance& inst = *components_[begin].inst;
+      if (inst.status == IStatus::kCommitted) execute_instance(inst);
     }
   }
-  if (stats_ != nullptr && !components.empty()) {
+  if (stats_ != nullptr) {
     stats_->deliver_phase.record(visited);  // graph work proxy
   }
 }
@@ -458,19 +471,19 @@ void EPaxos::try_execute(InstanceId root) {
 
 void EPaxos::on_node_suspected(NodeId peer) {
   rec_.note_suspected(peer);
+  // The peer's instances stuck short of a decision, plus the ones only known
+  // as dependencies (listed twice when both: one draw each).
   std::vector<InstanceId> to_recover;
   for (const auto& [iid, inst] : instances_) {
     if (iid_leader(iid) != peer) continue;
-    if (inst.status == IStatus::kCommitted || inst.status == IStatus::kExecuted)
-      continue;
-    if (inst.status == IStatus::kNone) continue;
-    to_recover.push_back(iid);
+    if (inst.status == IStatus::kPreAccepted ||
+        inst.status == IStatus::kAccepted) {
+      to_recover.push_back(iid);
+    }
+    if (inst.unknown) to_recover.push_back(iid);
   }
-  for (InstanceId iid : unknown_deps_) {
-    if (iid_leader(iid) == peer) to_recover.push_back(iid);
-  }
-  // One stagger draw per instance, in id order: hash-container iteration
-  // order must not decide which instance gets which draw.
+  // One stagger draw per instance, in id order: the table's iteration order
+  // must not decide which instance gets which draw.
   std::sort(to_recover.begin(), to_recover.end());
   for (InstanceId iid : to_recover) {
     const Time stagger = static_cast<Time>(env_.rng().uniform_int(
@@ -480,14 +493,11 @@ void EPaxos::on_node_suspected(NodeId peer) {
 }
 
 void EPaxos::start_recovery(InstanceId iid) {
-  auto it = instances_.find(iid);
-  if (it != instances_.end() && (it->second.status == IStatus::kCommitted ||
-                                 it->second.status == IStatus::kExecuted)) {
-    return;
-  }
-  if (recovery_.count(iid) != 0) return;
+  const Instance* inst = instances_.find(iid);
+  if (inst != nullptr && decided(*inst)) return;
+  if (recovery_.find(iid) != nullptr) return;
   if (stats_ != nullptr) ++stats_->recoveries;
-  const Ballot current = it == instances_.end() ? 0 : it->second.ballot;
+  const Ballot current = inst == nullptr ? 0 : inst->ballot;
   const Ballot nb = make_ballot(ballot_round(current) + 1, env_.id());
   RecoveryCoordinator& rc = recovery_[iid];
   rc.ballot = nb;
@@ -509,8 +519,8 @@ void EPaxos::handle_prepare(NodeId from, net::Decoder& d) {
   if (ballot <= inst.ballot && inst.status != IStatus::kNone) return;
   inst.ballot = ballot;
   // Stand down as coordinator if we were competing at a lower ballot.
-  auto cit = coord_.find(iid);
-  if (cit != coord_.end() && cit->second.ballot < ballot) coord_.erase(cit);
+  const Coordinator* c = coord_.find(iid);
+  if (c != nullptr && c->ballot < ballot) coord_.erase(iid);
 
   net::Encoder e = env_.encoder();
   e.put_u64(iid);
@@ -525,88 +535,74 @@ void EPaxos::handle_prepare(NodeId from, net::Decoder& d) {
 void EPaxos::handle_prepare_reply(NodeId from, net::Decoder& d) {
   const InstanceId iid = d.get_u64();
   const Ballot ballot = d.get_u64();
-  Instance info;
-  info.status = static_cast<IStatus>(d.get_u8());
-  info.cmd = rsm::Command::decode(d);
-  info.seq = d.get_varint();
-  info.deps = d.get_id_set();
+  PrepareReply reply;
+  reply.status = static_cast<IStatus>(d.get_u8());
+  reply.cmd = rsm::Command::decode(d);
+  reply.seq = d.get_varint();
+  reply.deps = d.get_id_set();
 
-  auto it = recovery_.find(iid);
-  if (it == recovery_.end() || it->second.ballot != ballot) return;
-  RecoveryCoordinator& rc = it->second;
-  if (!rc.responded.insert(from).second) return;
-  const bool has_info = info.status != IStatus::kNone;
-  rc.replies.emplace_back(from, std::move(info), has_info);
-  if (rc.responded.size() == cq_) finish_recovery(iid);
+  RecoveryCoordinator* rc = recovery_.find(iid);
+  if (rc == nullptr || rc->ballot != ballot) return;
+  const std::uint64_t bit = std::uint64_t{1} << from;
+  if ((rc->responded & bit) != 0) return;
+  rc->responded |= bit;
+  rc->replies.push_back(std::move(reply));
+  if (static_cast<std::size_t>(std::popcount(rc->responded)) == cq_) {
+    finish_recovery(iid);
+  }
 }
 
 void EPaxos::finish_recovery(InstanceId iid) {
-  auto rit = recovery_.find(iid);
-  assert(rit != recovery_.end());
-  RecoveryCoordinator rc = std::move(rit->second);
-  recovery_.erase(rit);
+  RecoveryCoordinator rc = std::move(*recovery_.find(iid));
+  recovery_.erase(iid);
   if (rc.retry_timer != sim::kNoEvent) env_.cancel_timer(rc.retry_timer);
 
   // Prepare replies are snapshots from when the prepare went out; the real
   // commit may have raced them in (delivered — even executed — here while
   // the last reply was in flight). Re-announce the decided value instead of
   // regressing the instance through another accept round or a no-op fill.
-  {
-    auto iit = instances_.find(iid);
-    if (iit != instances_.end() &&
-        (iit->second.status == IStatus::kCommitted ||
-         iit->second.status == IStatus::kExecuted)) {
-      const Instance& inst = iit->second;
-      net::Encoder e = env_.encoder();
-      encode_instance_msg(e, iid, rc.ballot, inst.cmd, inst.seq, inst.deps);
-      env_.broadcast(kCommit, std::move(e), /*include_self=*/false);
-      return;
-    }
+  Instance& inst = instances_[iid];
+  if (decided(inst)) {
+    net::Encoder e = env_.encoder();
+    encode_instance_msg(e, iid, rc.ballot, inst.cmd, inst.seq, inst.deps);
+    env_.broadcast(kCommit, std::move(e), /*include_self=*/false);
+    return;
   }
 
-  const Instance* committed = nullptr;
-  const Instance* accepted = nullptr;
-  std::vector<const Instance*> preaccepted;
-  for (const auto& [from, info, has] : rc.replies) {
-    (void)from;
-    if (!has) continue;
-    switch (info.status) {
+  const PrepareReply* committed = nullptr;
+  const PrepareReply* accepted = nullptr;
+  std::vector<const PrepareReply*> preaccepted;
+  for (const PrepareReply& reply : rc.replies) {
+    switch (reply.status) {
       case IStatus::kCommitted:
       case IStatus::kExecuted:
-        committed = &info;
+        committed = &reply;
         break;
       case IStatus::kAccepted:
-        accepted = &info;
+        accepted = &reply;
         break;
       case IStatus::kPreAccepted:
-        preaccepted.push_back(&info);
+        preaccepted.push_back(&reply);
         break;
       default:
         break;
     }
   }
 
-  Coordinator& c = coord_[iid];
-  c = Coordinator{};
-  c.ballot = rc.ballot;
-  c.start = env_.now();
-
   if (committed != nullptr) {
     // Someone saw the commit: just re-broadcast it.
-    Instance& inst = instances_[iid];
-    inst.cmd = committed->cmd;
-    c.phase = Phase::kDone;
     coord_.erase(iid);
     net::Encoder e = env_.encoder();
     encode_instance_msg(e, iid, rc.ballot, committed->cmd, committed->seq,
                         committed->deps);
     env_.broadcast(kCommit, std::move(e), /*include_self=*/false);
-    apply_commit(iid, committed->cmd, committed->seq, committed->deps);
+    apply_commit(iid, inst, committed->cmd, committed->seq, committed->deps);
     return;
   }
   if (accepted != nullptr) {
-    instances_[iid].cmd = accepted->cmd;
-    start_accept_phase(iid, accepted->seq, accepted->deps);
+    inst.cmd = accepted->cmd;
+    start_accept_phase(iid, open_coordinator(iid, inst, rc.ballot),
+                       accepted->seq, accepted->deps);
     return;
   }
   if (!preaccepted.empty()) {
@@ -615,12 +611,12 @@ void EPaxos::finish_recovery(InstanceId iid) {
     // is meaningless when this node leads the instance — only the leader
     // can take the fast path, and it is recovering precisely because it
     // never committed — so a self-led recovery always re-runs PreAccept.
-    const Instance* chosen = nullptr;
+    const PrepareReply* chosen = nullptr;
     if (iid_leader(iid) != env_.id()) {
       const std::size_t threshold = cq_ / 2 + 1;
-      for (const Instance* a : preaccepted) {
+      for (const PrepareReply* a : preaccepted) {
         std::size_t same = 0;
-        for (const Instance* b : preaccepted) {
+        for (const PrepareReply* b : preaccepted) {
           if (a->seq == b->seq && a->deps == b->deps) ++same;
         }
         if (same >= threshold) {
@@ -630,8 +626,9 @@ void EPaxos::finish_recovery(InstanceId iid) {
       }
     }
     if (chosen != nullptr) {
-      instances_[iid].cmd = chosen->cmd;
-      start_accept_phase(iid, chosen->seq, chosen->deps);
+      inst.cmd = chosen->cmd;
+      start_accept_phase(iid, open_coordinator(iid, inst, rc.ballot),
+                         chosen->seq, chosen->deps);
       return;
     }
     // No fast-path evidence. The surviving pre-accepts are snapshots from
@@ -643,19 +640,19 @@ void EPaxos::finish_recovery(InstanceId iid) {
     // interference — acceptors fold in whatever they learned since, and any
     // disagreement routes through the normal slow path (the simplified
     // stand-in for the paper's TryPreAccept, see DESIGN.md).
-    const rsm::Command cmd = preaccepted.front()->cmd;
+    const rsm::Command& cmd = preaccepted.front()->cmd;
     auto [seq, deps] = attributes_for(cmd, iid);
-    for (const Instance* a : preaccepted) {
+    for (const PrepareReply* a : preaccepted) {
       seq = std::max(seq, a->seq);
       deps.merge(a->deps);
     }
-    Instance& inst = instances_[iid];
     inst.cmd = cmd;
     inst.seq = seq;
     inst.deps = deps;
     inst.status = IStatus::kPreAccepted;
     inst.ballot = rc.ballot;
     note_instance(iid, cmd, seq);
+    Coordinator& c = open_coordinator(iid, inst, rc.ballot);
     c.seq = seq;
     c.deps = deps;
     c.max_seq = seq;
@@ -666,17 +663,14 @@ void EPaxos::finish_recovery(InstanceId iid) {
     return;
   }
   // Nobody knows the instance: commit a no-op to fill the slot.
+  coord_.erase(iid);
   rsm::Command noop;
   noop.id = iid;
   noop.origin = iid_leader(iid);
-  Instance& inst = instances_[iid];
-  inst.cmd = noop;
-  c.phase = Phase::kDone;
-  coord_.erase(iid);
   net::Encoder e = env_.encoder();
   encode_instance_msg(e, iid, rc.ballot, noop, 0, IdSet{});
   env_.broadcast(kCommit, std::move(e), /*include_self=*/false);
-  apply_commit(iid, noop, 0, IdSet{});
+  apply_commit(iid, inst, std::move(noop), 0, IdSet{});
 }
 
 void EPaxos::on_node_recovered(NodeId peer) {
@@ -699,10 +693,7 @@ void EPaxos::on_node_recovered(NodeId peer) {
 std::vector<std::uint64_t> EPaxos::committed_frontiers(bool* any_hole) const {
   std::vector<std::vector<std::uint64_t>> committed(n_);
   for (const auto& [iid, inst] : instances_) {
-    if (inst.status != IStatus::kCommitted &&
-        inst.status != IStatus::kExecuted) {
-      continue;
-    }
+    if (!decided(inst)) continue;
     const NodeId leader = iid_leader(iid);
     if (leader < n_) committed[leader].push_back(iid_slot(iid));
   }
@@ -733,10 +724,11 @@ void EPaxos::catchup_tick() {
   // reach through normal traffic.
   bool backlog = false;
   committed_frontiers(&backlog);
-  if (!backlog) backlog = !exec_waiters_.empty() || !unknown_deps_.empty();
   if (!backlog) {
     for (const auto& [iid, inst] : instances_) {
-      if (inst.status != IStatus::kNone && inst.status != IStatus::kExecuted) {
+      if ((inst.status != IStatus::kNone &&
+           inst.status != IStatus::kExecuted) ||
+          inst.wait_head != kNoLink || inst.unknown) {
         backlog = true;
         break;
       }
@@ -763,15 +755,12 @@ void EPaxos::on_catchup_request(NodeId from, net::Decoder& d) {
   const std::uint64_t nl = d.get_varint();
   std::vector<std::uint64_t> frontier(nl, 0);
   for (std::uint64_t i = 0; i < nl; ++i) frontier[i] = d.get_varint();
-  std::vector<InstanceId> ship;
+  std::vector<std::pair<InstanceId, const Instance*>> ship;
   for (const auto& [iid, inst] : instances_) {
-    if (inst.status != IStatus::kCommitted &&
-        inst.status != IStatus::kExecuted) {
-      continue;
-    }
+    if (!decided(inst)) continue;
     const NodeId leader = iid_leader(iid);
     if (leader < frontier.size() && iid_slot(iid) >= frontier[leader]) {
-      ship.push_back(iid);
+      ship.emplace_back(iid, &inst);
     }
   }
   std::sort(ship.begin(), ship.end());  // deterministic frame contents
@@ -786,9 +775,9 @@ void EPaxos::on_catchup_request(NodeId from, net::Decoder& d) {
     e.put_varint(round);
     e.put_varint(count);
     for (std::size_t k = 0; k < count; ++k) {
-      const InstanceId iid = ship[pos + k];
-      const Instance& inst = instances_.at(iid);
-      encode_instance_msg(e, iid, inst.ballot, inst.cmd, inst.seq, inst.deps);
+      const auto& [iid, inst] = ship[pos + k];
+      encode_instance_msg(e, iid, inst->ballot, inst->cmd, inst->seq,
+                          inst->deps);
     }
     pos += count;
     e.put_u8(pos == ship.size() ? 1 : 0);
@@ -802,14 +791,15 @@ void EPaxos::on_catchup_reply(NodeId /*from*/, net::Decoder& d) {
   const std::uint64_t count = d.get_varint();
   for (std::uint64_t i = 0; i < count; ++i) {
     InstanceMsg m = decode_instance_msg(d);
-    if (!is_committed(m.iid)) {
+    Instance& inst = instances_[m.iid];
+    if (!decided(inst)) {
       rec_.note_catchup_news();
       if (stats_ != nullptr) ++stats_->catchup_commands;
     }
     // A coordinator of ours still in flight for this instance is obsolete —
     // the decision is in; it must not push a dead ballot any further.
     coord_.erase(m.iid);
-    apply_commit(m.iid, m.cmd, m.seq, std::move(m.deps));
+    apply_commit(m.iid, inst, std::move(m.cmd), m.seq, std::move(m.deps));
   }
   if (d.get_u8() != 0 && round == rec_.catchup_round()) {
     // Clears the latch only if the round in flight taught us nothing new;

@@ -28,11 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "common/id_table.h"
 #include "runtime/protocol.h"
 #include "runtime/recovery_driver.h"
 #include "stats/protocol_stats.h"
@@ -98,16 +97,41 @@ class EPaxos final : public rt::Protocol {
     kExecuted = 4,
   };
 
+  /// End of a waiter chain (see Instance::wait_head).
+  static constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
+
+  /// Everything this node keeps about one instance. Instances are never
+  /// pruned and IdTable records never move, so a record's address is fixed
+  /// for the whole run: coordinators and the execution walk hold pointers
+  /// to it.
   struct Instance {
     rsm::Command cmd;  // empty ops = no-op (recovery fallback)
-    std::uint64_t seq = 0;
     IdSet deps;
-    IStatus status = IStatus::kNone;
+    std::uint64_t seq = 0;
     Ballot ballot = 0;
+    /// try_execute's Tarjan marks, meaningful only while `walk` is the
+    /// number of the walk in progress.
+    std::uint64_t walk = 0;
+    std::uint32_t index = 0;
+    std::uint32_t lowlink = 0;
+    /// Roots whose execution waits for this instance's commit, in the order
+    /// they blocked: a chain through wait_links_.
+    std::uint32_t wait_head = kNoLink;
+    std::uint32_t wait_tail = kNoLink;
+    IStatus status = IStatus::kNone;
+    bool on_stack = false;
+    /// Named as a dependency before anything else about it reached this
+    /// node: a candidate for recovery if its leader dies. Cleared by the
+    /// commit.
+    bool unknown = false;
   };
 
-  enum class Phase : std::uint8_t { kPreAccept, kAccept, kDone };
+  /// Leader-side state of one open round. It lives only until the commit,
+  /// so it has its own table instead of a place in the instance record,
+  /// which stays for the whole run; `inst` saves the reply handlers a probe.
+  enum class Phase : std::uint8_t { kPreAccept, kAccept };
   struct Coordinator {
+    Instance* inst = nullptr;  // the record of the instance coordinated
     Ballot ballot = 0;
     std::uint64_t seq = 0;  // leader's original attributes (fast-path check)
     IdSet deps;
@@ -120,12 +144,37 @@ class EPaxos final : public rt::Protocol {
     Time start = 0;
   };
 
+  /// One replier's view of an instance under recovery.
+  struct PrepareReply {
+    rsm::Command cmd;
+    IdSet deps;
+    std::uint64_t seq = 0;
+    IStatus status = IStatus::kNone;
+  };
+
   struct RecoveryCoordinator {
     Ballot ballot = 0;
-    std::vector<std::tuple<NodeId, Instance, bool>> replies;  // (from, info, has)
-    std::unordered_set<NodeId> responded;
+    std::vector<PrepareReply> replies;  // in arrival order
+    std::uint64_t responded = 0;        // one bit per replier
     sim::EventId retry_timer = sim::kNoEvent;
   };
+
+  /// Interference index entry of one key: the highest seq seen and the
+  /// latest instance of each leader (0 = none; slots start at 1).
+  struct KeyInfo {
+    std::uint64_t max_seq = 0;
+    std::vector<InstanceId> latest;  // n entries once any instance noted
+  };
+
+  /// One link of a waiter chain.
+  struct WaitLink {
+    InstanceId root = 0;
+    std::uint32_t next = kNoLink;
+  };
+
+  static bool decided(const Instance& inst) {
+    return inst.status >= IStatus::kCommitted;
+  }
 
   // --- attribute bookkeeping -------------------------------------------------
   /// Computes (seq, deps) for a command from the per-key interference index.
@@ -134,6 +183,10 @@ class EPaxos final : public rt::Protocol {
   /// Records an instance in the interference index.
   void note_instance(InstanceId iid, const rsm::Command& cmd,
                      std::uint64_t seq);
+  /// The index entry of `key`, nullptr when no instance touched it yet.
+  const KeyInfo* find_key(Key key) const;
+  /// The index entry of `key`, created when absent.
+  KeyInfo& key_info(Key key);
 
   // --- handlers ---------------------------------------------------------------
   void handle_pre_accept(NodeId from, net::Decoder& d);
@@ -144,14 +197,22 @@ class EPaxos final : public rt::Protocol {
   void handle_prepare(NodeId from, net::Decoder& d);
   void handle_prepare_reply(NodeId from, net::Decoder& d);
 
-  void start_accept_phase(InstanceId iid, std::uint64_t seq, IdSet deps);
-  void commit(InstanceId iid, std::uint64_t seq, IdSet deps, bool fast);
-  void apply_commit(InstanceId iid, const rsm::Command& cmd, std::uint64_t seq,
-                    IdSet deps);
+  /// A fresh coordinator for `iid` at `ballot`, replacing any earlier one.
+  Coordinator& open_coordinator(InstanceId iid, Instance& inst, Ballot ballot);
+  void start_accept_phase(InstanceId iid, Coordinator& c, std::uint64_t seq,
+                          IdSet deps);
+  /// Commits c's current attributes and retires the coordinator.
+  void commit(InstanceId iid, Coordinator& c, bool fast);
+  /// Records the decision (a decided instance is left as it is), then runs
+  /// what it unblocks.
+  void apply_commit(InstanceId iid, Instance& inst, rsm::Command cmd,
+                    std::uint64_t seq, IdSet deps);
 
   // --- execution (dependency-graph linearization) -----------------------------
-  void try_execute(InstanceId root);
-  void execute_instance(Instance& inst, InstanceId iid);
+  void try_execute(InstanceId root, Instance& root_inst);
+  void execute_instance(Instance& inst);
+  /// Appends `root` to the chain of roots waiting for `dep`'s commit.
+  void add_waiter(Instance& dep, InstanceId root);
 
   // --- recovery -----------------------------------------------------------------
   void start_recovery(InstanceId iid);
@@ -170,23 +231,40 @@ class EPaxos final : public rt::Protocol {
   std::size_t cq_;
   std::uint64_t next_slot_ = 0;
 
-  std::unordered_map<InstanceId, Instance> instances_;
-  std::unordered_map<InstanceId, Coordinator> coord_;
-  std::unordered_map<InstanceId, RecoveryCoordinator> recovery_;
+  /// One record per instance this node has heard of (see Instance).
+  IdTable<Instance> instances_;
+  IdTable<Coordinator> coord_;
+  IdTable<RecoveryCoordinator> recovery_;
 
-  /// Interference index: per key, the latest instance per replica and the
-  /// highest seq seen.
-  struct KeyInfo {
-    std::unordered_map<NodeId, InstanceId> latest;
-    std::uint64_t max_seq = 0;
+  /// Interference index. Key 0 is the first key of every shared key pool
+  /// and IdTable reserves id 0 for free cells, so its entry lives outside
+  /// the table.
+  IdTable<KeyInfo> keys_;
+  KeyInfo key0_;
+
+  /// Storage of every waiter chain; freed links form a free list from
+  /// free_link_, so registering a waiter allocates nothing once the pool
+  /// has grown.
+  std::vector<WaitLink> wait_links_;
+  std::uint32_t free_link_ = kNoLink;
+
+  /// try_execute's work lists, kept across calls so a walk allocates
+  /// nothing once they have grown. A walk does not re-enter itself:
+  /// delivery hands commands to the runtime, which queues any new work
+  /// behind the CPU.
+  struct WalkFrame {
+    Instance* inst = nullptr;
+    std::size_t dep_idx = 0;  // next dependency to visit
   };
-  std::unordered_map<Key, KeyInfo> key_info_;
-
-  /// Execution waiters: instances blocked on a dependency's commit.
-  std::unordered_map<InstanceId, std::vector<InstanceId>> exec_waiters_;
-  /// Dependencies referenced but never seen locally (candidates for
-  /// recovery if their leader dies).
-  std::unordered_set<InstanceId> unknown_deps_;
+  struct WalkNode {
+    InstanceId iid = 0;
+    Instance* inst = nullptr;
+  };
+  std::uint64_t walks_ = 0;            // number of the latest walk
+  std::vector<WalkFrame> frames_;      // depth-first search path
+  std::vector<WalkNode> stack_;        // Tarjan's stack
+  std::vector<WalkNode> components_;   // popped components, back to back
+  std::vector<std::size_t> component_ends_;
 
   /// Shared recovery machinery: failure-detector view, catch-up rotor and
   /// progress watchdog (runtime/recovery_driver.h). The designated-revoker
