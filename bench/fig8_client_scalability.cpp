@@ -34,7 +34,6 @@ RunReport run(ProtocolKind kind, std::uint32_t total_clients) {
           .duration(8 * kSec)
           .warmup(2 * kSec)
           .seed(8)
-          .check_consistency(total_clients <= 500)  // bound memory on big runs
           .build());
 }
 

@@ -41,7 +41,6 @@ RunReport run(JsonReportFile& json, ProtocolKind kind, double conflict,
           .duration(5 * kSec)
           .warmup(1500 * kMs)
           .seed(9)
-          .check_consistency(false)  // throughput runs are large
           .build());
   std::string label = std::string(to_string(kind)) + "/c=" +
                       Table::num(conflict * 100, 0) +

@@ -16,6 +16,10 @@
 //             throughput number from an inconsistent run is worse than none,
 //             so an oracle failure fails the bench.
 //
+// Every run keeps its replicas' final state, so each report's per-group
+// `consistent` flag is the common-order verdict over whole logs; the
+// stronger per-group oracle runs on the fault panel only.
+//
 //   $ bench/sharded_saturation                      # sweep 1,2,4 groups
 //   $ bench/sharded_saturation --shards=1 --json shards1.json
 //   $ bench/sharded_saturation --shards=4 --json shards4.json
@@ -58,9 +62,7 @@ RunReport run_saturation(std::uint32_t shards, std::uint32_t clients,
   b.shards(shards)
       .duration(4 * kSec)
       .warmup(1 * kSec)
-      .seed(41)
-      .check_consistency(false);  // saturation runs are large; fault panel
-                                  // below asserts the oracle instead
+      .seed(41);
   return harness::run_scenario(b.build());
 }
 

@@ -8,6 +8,16 @@
 
 namespace caesar::clockrsm {
 
+namespace {
+
+/// Period of idle clock announcements.
+constexpr Time kClockBroadcastUs = 10 * kMs;
+/// Progress-watchdog period: a stalled delivery frontier with undelivered
+/// backlog triggers catch-up; stale revocation rounds are retried.
+constexpr Time kCatchupIntervalUs = 250 * kMs;
+
+}  // namespace
+
 ClockRsm::ClockRsm(rt::Env& env, DeliverFn deliver, ClockRsmConfig cfg,
                    stats::ProtocolStats* stats)
     : rt::Protocol(env, std::move(deliver)),
@@ -42,8 +52,8 @@ Time ClockRsm::physical_now() const {
 }
 
 void ClockRsm::start() {
-  env_.set_timer(cfg_.clock_broadcast_us, [this] { clock_tick(); });
-  env_.set_timer(cfg_.catchup_interval_us, [this] { catchup_tick(); });
+  env_.set_timer(kClockBroadcastUs, [this] { clock_tick(); });
+  env_.set_timer(kCatchupIntervalUs, [this] { catchup_tick(); });
 }
 
 void ClockRsm::on_recover() {
@@ -99,7 +109,7 @@ void ClockRsm::clock_tick() {
   e.put_i64(clocks_[env_.id()]);
   env_.broadcast(kClock, std::move(e), /*include_self=*/false);
   try_deliver();
-  env_.set_timer(cfg_.clock_broadcast_us, [this] { clock_tick(); });
+  env_.set_timer(kClockBroadcastUs, [this] { clock_tick(); });
 }
 
 void ClockRsm::propose(rsm::Command cmd) {
@@ -446,10 +456,10 @@ void ClockRsm::on_restore(storage::RecoveredState& st) {
 }
 
 void ClockRsm::catchup_tick() {
-  env_.set_timer(cfg_.catchup_interval_us, [this] { catchup_tick(); });
+  env_.set_timer(kCatchupIntervalUs, [this] { catchup_tick(); });
   maybe_start_revocations();
   rec_.tick_rounds(
-      env_.now(), cfg_.catchup_interval_us,
+      env_.now(), kCatchupIntervalUs,
       [this](NodeId dead) { maybe_decide_revocation(dead); },
       [this](NodeId dead, const rt::RecoveryDriver::Round& round) {
         net::Encoder e = env_.encoder();
@@ -465,7 +475,7 @@ void ClockRsm::catchup_tick() {
   for (auto& [stamp, entry] : log_) {
     if (stamp.node != env_.id() || entry.committed) continue;
     if (entry.proposed_at == 0 ||
-        env_.now() - entry.proposed_at < cfg_.catchup_interval_us) {
+        env_.now() - entry.proposed_at < kCatchupIntervalUs) {
       continue;
     }
     entry.proposed_at = env_.now();  // rate-limit per entry

@@ -41,14 +41,9 @@
 namespace caesar::clockrsm {
 
 struct ClockRsmConfig {
-  /// Period of idle clock announcements.
-  Time clock_broadcast_us = 10 * kMs;
   /// Simulated clock skew bound: each node gets a fixed offset in
   /// [-max_skew_us, +max_skew_us].
   Time max_skew_us = 2 * kMs;
-  /// Progress-watchdog period: a stalled delivery frontier with undelivered
-  /// backlog triggers catch-up; stale revocation rounds are retried.
-  Time catchup_interval_us = 250 * kMs;
 };
 
 class ClockRsm final : public rt::Protocol {

@@ -16,6 +16,9 @@ constexpr Time kEntriesPerUs = 16;
 /// layout. This is the delivery cost the paper blames for EPaxos'
 /// degradation under load (§VI-A, Figs 8/9).
 constexpr Time kGraphNodesPerUs = 2;
+/// A recovery that has not committed its instance within this time starts
+/// over with a higher ballot.
+constexpr Time kRecoveryRetryUs = 2 * kSec;
 
 void encode_instance_msg(net::Encoder& e, InstanceId iid, Ballot ballot,
                          const rsm::Command& cmd, std::uint64_t seq,
@@ -505,7 +508,7 @@ void EPaxos::start_recovery(InstanceId iid) {
   e.put_u64(iid);
   e.put_u64(nb);
   env_.broadcast(kPrepare, std::move(e), /*include_self=*/true);
-  rc.retry_timer = env_.set_timer(cfg_.recovery_retry_us, [this, iid] {
+  rc.retry_timer = env_.set_timer(kRecoveryRetryUs, [this, iid] {
     recovery_.erase(iid);
     start_recovery(iid);
   });

@@ -49,7 +49,6 @@ constexpr std::uint64_t iid_slot(InstanceId iid) { return cmd_seq(iid); }
 struct EPaxosConfig {
   /// Stagger before recovering a suspected peer's instances.
   Time recovery_stagger_us = 50 * kMs;
-  Time recovery_retry_us = 2 * kSec;
   /// Progress-watchdog period: a stalled execution frontier with committable
   /// backlog triggers instance catch-up from a live peer. 0 disables the
   /// watchdog (the default).

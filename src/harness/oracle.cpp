@@ -43,8 +43,8 @@ ConsistencyVerdict check_replica_set_consistency(
   const std::size_t n = stores.size();
   if (n == 0 || logs.size() != n) {
     return fail(
-        "run kept no final replica state — was the scenario's "
-        "check_consistency disabled?");
+        "report holds no final replica state (one log and one store per "
+        "node) — was it made by run_scenario?");
   }
   std::vector<std::size_t> live;
   for (std::size_t i = 0; i < n; ++i) {
@@ -152,7 +152,8 @@ rsm::KvStore reassemble_sharded_store(const RunReport& r, std::string* error) {
     if (rep == nullptr) {
       if (sm.stores.empty()) {
         set_error("group " + std::to_string(sm.group) +
-                  " kept no final state — was check_consistency disabled?");
+                  " holds no final state — was the report made by "
+                  "run_scenario?");
         return whole;
       }
       continue;  // whole group crashed; its slice contributes nothing

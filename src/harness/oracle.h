@@ -56,10 +56,10 @@ ConsistencyVerdict check_replica_set_consistency(
     const std::vector<rsm::KvStore>& stores, const std::vector<bool>& crashed,
     ConsistencyOptions opt = {});
 
-/// Runs the oracle over a finished run's final replica state. The scenario
-/// must have kept check_consistency on (the default), or the verdict fails
-/// fast with an explanation. A sharded report dispatches to
-/// check_sharded_consistency automatically.
+/// Runs the oracle over a finished run's final replica state, which every
+/// run_scenario report carries; a report without it fails fast with an
+/// explanation. A sharded report dispatches to check_sharded_consistency
+/// automatically.
 ConsistencyVerdict check_cluster_consistency(const RunReport& r,
                                              ConsistencyOptions opt = {});
 

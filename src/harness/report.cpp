@@ -118,10 +118,7 @@ void print_report(const RunReport& r, std::ostream& os) {
     }
     shards.print(os);
     os << "\nrouter: " << r.shards.size() << " groups, " << r.router.partition
-       << " partition, multi-key=" << r.router.multi_key
-       << "\ncross-shard pins: " << r.router.cross_shard_pins
-       << "  rejects: " << r.router.cross_shard_rejects
-       << "  reroutes: " << r.router.reroutes;
+       << " partition\nreroutes: " << r.router.reroutes;
   }
 
   os << "\nthroughput: " << Table::num(r.throughput_tps, 0) << " cmd/s"
@@ -346,11 +343,8 @@ std::string to_json(const RunReport& r) {
   // classic single-group document is unchanged (golden tests rely on that).
   if (r.sharded()) {
     os << ",\"router\":{\"groups\":" << r.shards.size() << ",\"partition\":\""
-       << json_escape(r.router.partition) << "\",\"multi_key\":\""
-       << json_escape(r.router.multi_key)
-       << "\",\"cross_shard_pins\":" << r.router.cross_shard_pins
-       << ",\"cross_shard_rejects\":" << r.router.cross_shard_rejects
-       << ",\"reroutes\":" << r.router.reroutes << "}";
+       << json_escape(r.router.partition)
+       << "\",\"reroutes\":" << r.router.reroutes << "}";
     os << ",\"shards\":[";
     for (std::size_t i = 0; i < r.shards.size(); ++i) {
       const ShardMetrics& s = r.shards[i];

@@ -55,9 +55,6 @@ struct SiteMetrics {
 /// Router-level counters of a sharded run (see shard::ShardRouter).
 struct RouterStats {
   std::string partition;  // shard::to_string(Partition)
-  std::string multi_key;  // shard::to_string(MultiKeyPolicy)
-  std::uint64_t cross_shard_pins = 0;
-  std::uint64_t cross_shard_rejects = 0;
   std::uint64_t reroutes = 0;
 };
 
@@ -135,10 +132,10 @@ struct RunReport {
   std::uint64_t fd_suspicions = 0;
   std::uint64_t fd_retractions = 0;
 
-  /// Final replica state, captured when the scenario keeps consistency
-  /// checking on: per-node delivery logs and stores, plus which nodes were
-  /// still crashed when the run ended. Consumed by the consistency oracle in
-  /// the test harness; never serialized by the emitters.
+  /// Final replica state, which every run keeps: per-node delivery logs and
+  /// stores, plus which nodes were still crashed when the run ended.
+  /// Consumed by the consistency oracle (harness/oracle.h); never
+  /// serialized by the emitters.
   std::vector<rsm::DeliveryLog> delivery_logs;
   std::vector<rsm::KvStore> stores;
   std::vector<bool> crashed_at_end;

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "m2paxos/m2paxos.h"
+#include "mencius/mencius.h"
 #include "rsm/delivery_log.h"
 #include "rsm/kvstore.h"
 #include "shard/shard_router.h"
@@ -15,13 +17,14 @@ namespace caesar::harness {
 
 namespace {
 
-/// ProtocolInfo::make for protocol class P configured by Scenario member
-/// `config`.
-template <typename P, auto config>
-std::unique_ptr<rt::Protocol> make_protocol(const Scenario& s, rt::Env& env,
+/// ProtocolInfo::make for protocol class P, configured by Scenario member
+/// `config` when P takes one.
+template <typename P, auto... config>
+std::unique_ptr<rt::Protocol> make_protocol([[maybe_unused]] const Scenario& s,
+                                            rt::Env& env,
                                             rt::Protocol::DeliverFn deliver,
                                             stats::ProtocolStats* stats) {
-  return std::make_unique<P>(env, std::move(deliver), s.*config, stats);
+  return std::make_unique<P>(env, std::move(deliver), s.*config..., stats);
 }
 
 constexpr ProtocolInfo kProtocolTable[] = {
@@ -30,9 +33,9 @@ constexpr ProtocolInfo kProtocolTable[] = {
     {ProtocolKind::kEPaxos, "EPaxos", "epaxos", true,
      make_protocol<epaxos::EPaxos, &Scenario::epaxos>},
     {ProtocolKind::kM2Paxos, "M2Paxos", "m2paxos", false,
-     make_protocol<m2paxos::M2Paxos, &Scenario::m2paxos>},
+     make_protocol<m2paxos::M2Paxos>},
     {ProtocolKind::kMencius, "Mencius", "mencius", true,
-     make_protocol<mencius::Mencius, &Scenario::mencius>},
+     make_protocol<mencius::Mencius>},
     {ProtocolKind::kMultiPaxos, "MultiPaxos", "multipaxos", true,
      make_protocol<mpaxos::MultiPaxos, &Scenario::multipaxos>},
     {ProtocolKind::kClockRsm, "ClockRSM", "clockrsm", true,
@@ -209,8 +212,6 @@ ScenarioBuilder& ScenarioBuilder::shards(std::uint32_t count,
                                          shard::Partition partition) {
   s_.shards.count = count;
   s_.shards.partition = partition;
-  // Range partitioning splits the workload's configured keyspace by default.
-  s_.shards.range_keyspace = s_.workload.key_dist.keyspace;
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::closed_loop(Time at,
@@ -276,16 +277,8 @@ ScenarioBuilder& ScenarioBuilder::epaxos(epaxos::EPaxosConfig v) {
   s_.epaxos = v;
   return *this;
 }
-ScenarioBuilder& ScenarioBuilder::mencius(mencius::MenciusConfig v) {
-  s_.mencius = v;
-  return *this;
-}
 ScenarioBuilder& ScenarioBuilder::multipaxos_leader(NodeId leader) {
   s_.multipaxos.leader = leader;
-  return *this;
-}
-ScenarioBuilder& ScenarioBuilder::check_consistency(bool v) {
-  s_.check_consistency = v;
   return *this;
 }
 ScenarioBuilder& ScenarioBuilder::timeline_bucket(Time v) {
@@ -355,40 +348,30 @@ void validate_scenario(const Scenario& s) {
       (kd.zipf_theta <= 0.0 || kd.zipf_theta >= 1.0)) {
     fail(s, "workload.key_dist.zipf_theta must lie in (0, 1)");
   }
-  if (kd.dist == wl::KeyDist::kHotKey) {
-    if (kd.hot_fraction < 0.0 || kd.hot_fraction > 1.0) {
-      fail(s, "workload.key_dist.hot_fraction must lie in [0, 1]");
-    }
-    if (kd.hot_keys == 0 || kd.hot_keys >= kd.keyspace) {
-      fail(s, "workload.key_dist.hot_keys must lie in [1, keyspace)");
-    }
-  }
 
   // Sharding.
   if (s.shards.count == 0) {
     fail(s, "shards.count must be at least 1");
   }
-  if (s.shards.sharded() && s.shards.partition == shard::Partition::kRange &&
-      s.shards.range_keyspace == 0) {
-    fail(s, "shards.range_keyspace must be positive for range partitioning");
-  }
 
   // Protocol knobs that index into the topology.
   if (s.protocol == ProtocolKind::kMultiPaxos) {
     check_node_in_range(s, s.multipaxos.leader, "multipaxos.leader");
-    if (s.multipaxos.resync_grace_us <= s.fd_timeout_us) {
+    if (mpaxos::kResyncGraceUs <= s.fd_timeout_us) {
       fail(s,
-           "multipaxos.resync_grace_us must exceed fd_timeout_us, or a "
-           "rejoined follower sweeps its log gap before the leader's "
-           "fd-retraction replay arrives");
+           "fd_timeout_us must stay below Multi-Paxos's resync grace (" +
+               std::to_string(mpaxos::kResyncGraceUs) +
+               " us), or a rejoined follower sweeps its log gap before the "
+               "leader's fd-retraction replay arrives");
     }
   }
   if (s.protocol == ProtocolKind::kMencius &&
-      s.mencius.resync_grace_us <= s.fd_timeout_us) {
+      mencius::kResyncGraceUs <= s.fd_timeout_us) {
     fail(s,
-         "mencius.resync_grace_us must exceed fd_timeout_us, or a rejoined "
-         "node sweeps still-pending accept entries before its peers' "
-         "fd-retraction re-ACCEPTs arrive");
+         "fd_timeout_us must stay below Mencius's resync grace (" +
+             std::to_string(mencius::kResyncGraceUs) +
+             " us), or a rejoined node sweeps still-pending accept entries "
+             "before its peers' fd-retraction re-ACCEPTs arrive");
   }
   if (protocol_info(s.protocol).bitmask_sites && n > 64) {
     fail(s, std::string(to_string(s.protocol)) +
@@ -722,7 +705,6 @@ RunReport run_scenario(const Scenario& s) {
   // report is the classic document.
   if (s.shards.sharded()) {
     result.router.partition = std::string(to_string(s.shards.partition));
-    result.router.multi_key = std::string(to_string(s.shards.multi_key));
     result.shards.resize(groups);
     for (std::uint32_t g = 0; g < groups; ++g) {
       result.shards[g].group = g;
@@ -730,11 +712,10 @@ RunReport run_scenario(const Scenario& s) {
     }
   }
 
-  const std::size_t mirrored = s.check_consistency ? n : 0;
   std::vector<GroupMirror> mirrors(
-      groups, GroupMirror{std::vector<rsm::DeliveryLog>(mirrored),
+      groups, GroupMirror{std::vector<rsm::DeliveryLog>(n),
                           std::vector<rsm::KvStore>(n),
-                          std::vector<std::vector<std::size_t>>(mirrored)});
+                          std::vector<std::vector<std::size_t>>(n)});
 
   rt::ClusterConfig ccfg;
   ccfg.node = s.node;
@@ -761,7 +742,7 @@ RunReport run_scenario(const Scenario& s) {
       },
       [&](std::uint32_t g, NodeId node, const rsm::Command& cmd) {
         GroupMirror& m = mirrors[g];
-        if (s.check_consistency) m.logs[node].record(cmd);
+        m.logs[node].record(cmd);
         m.kvs[node].apply(cmd);
         if (router_ptr != nullptr) router_ptr->on_delivery(g, node, cmd);
         if (pool_ptr != nullptr) {
@@ -769,13 +750,12 @@ RunReport run_scenario(const Scenario& s) {
           pool_ptr->on_delivery(node, cmd);
         }
       });
-  if (s.check_consistency) {
-    cluster.set_instance_hook([&](std::uint32_t g, NodeId node) {
-      mirrors[g].marks[node].push_back(mirrors[g].logs[node].size());
-    });
-  }
+  cluster.set_instance_hook([&](std::uint32_t g, NodeId node) {
+    mirrors[g].marks[node].push_back(mirrors[g].logs[node].size());
+  });
 
-  shard::ShardRouter router(cluster, shard::ShardMap(s.shards));
+  shard::ShardRouter router(
+      cluster, shard::ShardMap(s.shards, s.workload.key_dist.keyspace));
   router_ptr = &router;
   wl::ClientPool pool(sim, router, s.workload, sim.rng().fork(), s.phases,
                       s.duration);
@@ -790,22 +770,20 @@ RunReport run_scenario(const Scenario& s) {
   cluster.set_restart_hook([&](std::uint32_t g, NodeId node,
                                const caesar::storage::RecoveredState& st) {
     GroupMirror& m = mirrors[g];
-    if (s.check_consistency) {
-      if (st.trimmed) {
-        m.logs[node].reset_trimmed();
-        // Re-base the marks: durable counts below the retained suffix are
-        // unreachable from here on (a later restart can never roll back past
-        // this snapshot), so their marks are placeholders.
-        m.marks[node].assign(st.delivered_count - st.log.entries().size(), 0);
-        for (const auto& [index, cmd] : st.log.entries()) {
-          record_unbundled(m.logs[node], cmd);
-          m.marks[node].push_back(m.logs[node].size());
-        }
-      } else {
-        const std::size_t d = st.delivered_count;
-        if (d < m.marks[node].size()) m.marks[node].resize(d);
-        m.logs[node].truncate(d == 0 ? 0 : m.marks[node][d - 1]);
+    if (st.trimmed) {
+      m.logs[node].reset_trimmed();
+      // Re-base the marks: durable counts below the retained suffix are
+      // unreachable from here on (a later restart can never roll back past
+      // this snapshot), so their marks are placeholders.
+      m.marks[node].assign(st.delivered_count - st.log.entries().size(), 0);
+      for (const auto& [index, cmd] : st.log.entries()) {
+        record_unbundled(m.logs[node], cmd);
+        m.marks[node].push_back(m.logs[node].size());
       }
+    } else {
+      const std::size_t d = st.delivered_count;
+      if (d < m.marks[node].size()) m.marks[node].resize(d);
+      m.logs[node].truncate(d == 0 ? 0 : m.marks[node][d - 1]);
     }
     m.kvs[node] = st.store;
   });
@@ -813,10 +791,8 @@ RunReport run_scenario(const Scenario& s) {
       [&](std::uint32_t g, NodeId node, const rsm::KvStore& store,
           std::uint64_t delivered) {
         GroupMirror& m = mirrors[g];
-        if (s.check_consistency) {
-          m.logs[node].reset_trimmed();
-          m.marks[node].assign(delivered, 0);
-        }
+        m.logs[node].reset_trimmed();
+        m.marks[node].assign(delivered, 0);
         m.kvs[node] = store;
       });
 
@@ -964,12 +940,10 @@ RunReport run_scenario(const Scenario& s) {
     GroupMirror& m = mirrors[g];
     const bool agree = logs_agree(m.logs);
     result.consistent = result.consistent && agree;
-    // With consistency checking on, the final replica state goes to the
-    // caller: the oracle needs the logs and stores themselves, plus which
-    // nodes were still down when the run ended (a crashed-forever node
-    // legitimately trails the cluster).
+    // The final replica state goes to the caller: the oracle needs the logs
+    // and stores themselves, plus which nodes were still down when the run
+    // ended (a crashed-forever node legitimately trails the cluster).
     auto hand_over = [&](auto& dst) {
-      if (!s.check_consistency) return;
       dst.delivery_logs = std::move(m.logs);
       dst.stores = std::move(m.kvs);
       dst.crashed_at_end.resize(n);
@@ -993,11 +967,7 @@ RunReport run_scenario(const Scenario& s) {
     sm.consistent = agree;
     hand_over(sm);
   }
-  if (result.sharded()) {
-    result.router.cross_shard_pins = router.stats().cross_shard_pins;
-    result.router.cross_shard_rejects = router.stats().cross_shard_rejects;
-    result.router.reroutes = router.stats().reroutes;
-  }
+  if (result.sharded()) result.router.reroutes = router.stats().reroutes;
   return result;
 }
 
@@ -1085,7 +1055,6 @@ void register_builtins() {
             .duration(40 * kSec)
             .warmup(0)
             .seed(12)
-            .check_consistency(false)
             .timeline_bucket(1 * kSec)
             .build();
       }});

@@ -32,8 +32,6 @@
 #include "core/caesar.h"
 #include "epaxos/epaxos.h"
 #include "harness/run_report.h"
-#include "m2paxos/m2paxos.h"
-#include "mencius/mencius.h"
 #include "multipaxos/multipaxos.h"
 #include "net/topology.h"
 #include "runtime/cluster.h"
@@ -65,8 +63,8 @@ struct ProtocolInfo {
   /// Counts quorum acks or suspected peers in 64-bit node bitmasks, so runs
   /// on at most 64 sites.
   bool bitmask_sites;
-  /// Builds one node's instance from the scenario's config member for this
-  /// protocol, its counters landing in `stats`.
+  /// Builds one node's instance, from the scenario's config member for this
+  /// protocol if it has one, its counters landing in `stats`.
   std::unique_ptr<rt::Protocol> (*make)(const Scenario& s, rt::Env& env,
                                         rt::Protocol::DeliverFn deliver,
                                         stats::ProtocolStats* stats);
@@ -132,6 +130,7 @@ struct Scenario {
   /// Keyspace sharding across independent consensus groups. Every run routes
   /// through shard::ShardRouter; count == 1 (the default) is the classic
   /// one-group run, and count > 1 adds per-group rollups to the report.
+  /// Range partitioning splits workload.key_dist.keyspace.
   shard::ShardSpec shards;
   /// Fault timeline; executed in time order during the run.
   std::vector<FaultEvent> faults;
@@ -151,17 +150,12 @@ struct Scenario {
   Time warmup = 3 * kSec;
   std::uint64_t seed = 1;
 
-  // Protocol-specific knobs.
+  // Protocol-specific knobs (M2Paxos and Mencius have none).
   core::CaesarConfig caesar;
   epaxos::EPaxosConfig epaxos;
-  m2paxos::M2PaxosConfig m2paxos;
-  mencius::MenciusConfig mencius;
   clockrsm::ClockRsmConfig clockrsm;
   mpaxos::MultiPaxosConfig multipaxos{/*leader=*/3};  // Ireland by default
 
-  /// Keep per-node delivery logs and verify cross-node consistency at the
-  /// end (disable only for very long throughput runs).
-  bool check_consistency = true;
   Time timeline_bucket = 500 * kMs;
   /// Fixed metrics-window width (0 = one window per workload phase instead).
   /// When set, the runner slices [warmup, duration) into windows of this
@@ -215,6 +209,8 @@ class ScenarioBuilder {
 
   // Sharding.
   /// Partitions the keyspace across `count` independent consensus groups.
+  /// kRange splits workload.key_dist.keyspace, set before or after this
+  /// call.
   ScenarioBuilder& shards(std::uint32_t count,
                           shard::Partition partition = shard::Partition::kHash);
   /// Appends a closed-loop phase starting at `at`.
@@ -255,10 +251,8 @@ class ScenarioBuilder {
   // Protocol knobs.
   ScenarioBuilder& caesar(core::CaesarConfig v);
   ScenarioBuilder& epaxos(epaxos::EPaxosConfig v);
-  ScenarioBuilder& mencius(mencius::MenciusConfig v);
   ScenarioBuilder& multipaxos_leader(NodeId leader);
 
-  ScenarioBuilder& check_consistency(bool v);
   ScenarioBuilder& timeline_bucket(Time v);
   ScenarioBuilder& metrics_window(Time width);
 
@@ -273,14 +267,16 @@ class ScenarioBuilder {
 /// Checks a scenario against its own topology: protocol knobs that index
 /// sites (Multi-Paxos leader, CAESAR fast-quorum override), fault-event
 /// targets, phase ordering and rates, warmup vs duration, timeline bucket
-/// and failure-detector timeout. Throws
+/// and failure-detector timeout (which must stay below Mencius's and
+/// Multi-Paxos's resync grace). Throws
 /// std::invalid_argument with a precise message on the first violation.
 void validate_scenario(const Scenario& s);
 
 /// Runs one scenario to completion. Deterministic in s.seed. Validates
 /// first (see validate_scenario). The report carries per-window metrics
-/// (per-phase, or fixed-width via Scenario::metrics_window_us) and run
-/// provenance besides the run-wide aggregates. Every run drives
+/// (per-phase, or fixed-width via Scenario::metrics_window_us), run
+/// provenance and every replica's final state besides the run-wide
+/// aggregates. Every run drives
 /// s.shards.count consensus groups behind a shard::ShardRouter; a classic
 /// scenario is a one-group run, and only a sharded one (count > 1) adds the
 /// per-group rollups (RunReport::shards, RunReport::router).

@@ -389,8 +389,7 @@ struct Field {
 constexpr Name<wl::KeyDist> kKeyDists[] = {
     {"paper-conflict", wl::KeyDist::kPaperConflict},
     {"uniform", wl::KeyDist::kUniform},
-    {"zipfian", wl::KeyDist::kZipfian},
-    {"hot-key", wl::KeyDist::kHotKey}};
+    {"zipfian", wl::KeyDist::kZipfian}};
 constexpr Name<wl::OverloadPolicy> kOverloadPolicies[] = {
     {"shed", wl::OverloadPolicy::kShed}, {"queue", wl::OverloadPolicy::kQueue}};
 constexpr Name<wl::PhaseSpec::Mode> kPhaseModes[] = {
@@ -498,8 +497,6 @@ constexpr Knob kKnobs[] = {
      }},
     {"metrics_window_s",
      [](auto& s, auto& f) { s.metrics_window_us = f.time(kSec); }},
-    {"check_consistency",
-     [](auto& s, auto& f) { f.read(s.check_consistency); }},
     {"multipaxos_leader",
      [](auto& s, auto& f) { f.read(s.multipaxos.leader); }},
     {"shards.count", [](auto& s, auto& f) { f.read(s.shards.count); }},
@@ -507,25 +504,13 @@ constexpr Knob kKnobs[] = {
      [](auto& s, auto& f) {
        f.choice(s.shards.partition, shard::kPartitionNames);
      }},
-    {"shards.multi_key",
-     [](auto& s, auto& f) {
-       f.choice(s.shards.multi_key, shard::kMultiKeyNames);
-     }},
-    {"shards.range_keyspace",
-     [](auto& s, auto& f) { f.read(s.shards.range_keyspace); }},
     {"key_dist.dist",
      [](auto& s, auto& f) { f.choice(s.workload.key_dist.dist, kKeyDists); }},
     {"key_dist.keyspace",
      [](auto& s, auto& f) { f.read(s.workload.key_dist.keyspace); }},
     {"key_dist.theta",
      [](auto& s, auto& f) { f.read(s.workload.key_dist.zipf_theta); }},
-    {"key_dist.hot_fraction",
-     [](auto& s, auto& f) { f.read(s.workload.key_dist.hot_fraction); }},
-    {"key_dist.hot_keys",
-     [](auto& s, auto& f) { f.read(s.workload.key_dist.hot_keys); }},
     {"node.batching", [](auto& s, auto& f) { f.read(s.node.batching); }},
-    {"node.batch_delay_us",
-     [](auto& s, auto& f) { f.read(s.node.batch_delay_us); }},
     {"node.batch_delay_ms",
      [](auto& s, auto& f) { s.node.batch_delay_us = f.time(kMs); }},
     {"node.batch_max_ops",

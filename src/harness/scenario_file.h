@@ -13,19 +13,16 @@
 //     "think_ms": 0,                         // default phase (no "phases")
 //     "conflict_pct": 10,
 //     "duration_s": 12, "warmup_s": 1, "seed": 7,
-//     "shards": {"count": 4, "partition": "hash",
-//                "multi_key": "pin-first-key", "range_keyspace": 65536},
-//     "key_dist": {"dist": "zipfian", "keyspace": 65536, "theta": 0.99,
-//                  "hot_fraction": 0.9, "hot_keys": 8},
+//     "shards": {"count": 4, "partition": "hash"},
+//     "key_dist": {"dist": "zipfian", "keyspace": 65536, "theta": 0.99},
 //     "phases": [{"mode": "closed-loop", "at_s": 0, "clients_per_site": 40},
 //                {"mode": "quiesce", "at_s": 10}],
 //     "faults": [{"kind": "crash", "node": 2, "group": 1, "at_s": 4},
 //                {"kind": "recover", "node": 2, "group": 1, "at_s": 8}],
 //     "fd_timeout_ms": 500, "fd_suspect_partitions": false,
 //     "data_dir": "caesar-data/my-experiment", "sync_mode": "batched",
-//     "metrics_window_s": 2, "check_consistency": true,
-//     "multipaxos_leader": 3,
-//     "node": {"batching": true, "batch_delay_us": 2000,  // or _ms
+//     "metrics_window_s": 2, "multipaxos_leader": 3,
+//     "node": {"batching": true, "batch_delay_ms": 2,
 //              "batch_max_ops": 128, "pipeline_window": 1,
 //              "coalescing": false},
 //     "flow_control": {"max_inflight": 0, "policy": "queue",
@@ -35,7 +32,8 @@
 //
 // "phases" and "faults" replace the base's lists whole. Phase keys besides
 // "mode" and "at_s" depend on the mode: closed-loop takes clients_per_site
-// and think_ms, open-loop rate_tps, ramp rate_tps and to_tps.
+// and think_ms, open-loop rate_tps, ramp rate_tps and to_tps. A "range"
+// partition splits key_dist.keyspace into equal slices.
 //
 // Parsing is strict: unknown keys, wrong types, integers the target member
 // cannot hold and unknown enum names throw std::invalid_argument naming the

@@ -6,10 +6,19 @@
 
 namespace caesar::m2paxos {
 
-M2Paxos::M2Paxos(rt::Env& env, DeliverFn deliver, M2PaxosConfig cfg,
-                 stats::ProtocolStats* stats)
+namespace {
+
+/// Backoff before retrying a lost ownership-acquisition race.
+constexpr Time kAcquireBackoffUs = 20 * kMs;
+/// Origin-side watchdog: re-route own commands not delivered locally within
+/// this time (covers rare cold-start orphans; re-deciding is idempotent
+/// because delivery dedupes on command id).
+constexpr Time kRetryTimeoutUs = 2 * kSec;
+
+}  // namespace
+
+M2Paxos::M2Paxos(rt::Env& env, DeliverFn deliver, stats::ProtocolStats* stats)
     : rt::Protocol(env, std::move(deliver)),
-      cfg_(cfg),
       stats_(stats),
       n_(env.cluster_size()),
       cq_(classic_quorum_size(env.cluster_size())) {}
@@ -24,19 +33,19 @@ NodeId M2Paxos::owner_of(Key k) const {
 // ---------------------------------------------------------------------------
 
 void M2Paxos::start() {
-  env_.set_timer(cfg_.retry_timeout_us / 2, [this] { watchdog_sweep(); });
+  env_.set_timer(kRetryTimeoutUs / 2, [this] { watchdog_sweep(); });
 }
 
 void M2Paxos::watchdog_sweep() {
   std::vector<rsm::Command> stuck;
   for (auto& [id, pending] : my_pending_) {
-    if (env_.now() - pending.since >= cfg_.retry_timeout_us) {
+    if (env_.now() - pending.since >= kRetryTimeoutUs) {
       pending.since = env_.now();
       stuck.push_back(pending.cmd);
     }
   }
   for (auto& cmd : stuck) route(std::move(cmd), 0);
-  env_.set_timer(cfg_.retry_timeout_us / 2, [this] { watchdog_sweep(); });
+  env_.set_timer(kRetryTimeoutUs / 2, [this] { watchdog_sweep(); });
 }
 
 void M2Paxos::propose(rsm::Command cmd) {
@@ -353,9 +362,9 @@ void M2Paxos::handle_acquire_reply(NodeId from, net::Decoder& d) {
       }
     }
     acquiring_.erase(it);
-    const Time backoff = cfg_.acquire_backoff_us +
-                         static_cast<Time>(env_.rng().uniform_int(
-                             static_cast<std::uint64_t>(cfg_.acquire_backoff_us)));
+    const Time backoff =
+        kAcquireBackoffUs + static_cast<Time>(env_.rng().uniform_int(
+                                static_cast<std::uint64_t>(kAcquireBackoffUs)));
     env_.set_timer(backoff, [this, cmd = std::move(cmd),
                              queued = std::move(queued)]() mutable {
       route(std::move(cmd), 0);
@@ -467,9 +476,8 @@ void M2Paxos::handle_accept_reply(NodeId from, net::Decoder& d) {
       rsm::Command cmd = std::move(round.cmd);
       accepts_.erase(it);
       const Time backoff =
-          cfg_.acquire_backoff_us +
-          static_cast<Time>(env_.rng().uniform_int(
-              static_cast<std::uint64_t>(cfg_.acquire_backoff_us)));
+          kAcquireBackoffUs + static_cast<Time>(env_.rng().uniform_int(
+                                  static_cast<std::uint64_t>(kAcquireBackoffUs)));
       env_.set_timer(backoff, [this, cmd = std::move(cmd)]() mutable {
         route(std::move(cmd), 0);
       });

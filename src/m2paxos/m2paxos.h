@@ -30,19 +30,9 @@
 
 namespace caesar::m2paxos {
 
-struct M2PaxosConfig {
-  /// Backoff before retrying a lost ownership-acquisition race.
-  Time acquire_backoff_us = 20 * kMs;
-  /// Origin-side watchdog: re-route own commands not delivered locally
-  /// within this time (covers rare cold-start orphans; re-deciding is
-  /// idempotent because delivery dedupes on command id).
-  Time retry_timeout_us = 2 * kSec;
-};
-
 class M2Paxos final : public rt::Protocol {
  public:
-  M2Paxos(rt::Env& env, DeliverFn deliver, M2PaxosConfig cfg,
-          stats::ProtocolStats* stats);
+  M2Paxos(rt::Env& env, DeliverFn deliver, stats::ProtocolStats* stats);
 
   void start() override;
   void propose(rsm::Command cmd) override;
@@ -117,7 +107,6 @@ class M2Paxos final : public rt::Protocol {
   void schedule_exec(std::shared_ptr<PendingExec> entry);
   void try_exec(Key key);
 
-  M2PaxosConfig cfg_;
   stats::ProtocolStats* stats_;
   std::size_t n_;
   std::size_t cq_;

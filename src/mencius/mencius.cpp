@@ -8,10 +8,19 @@
 
 namespace caesar::mencius {
 
-Mencius::Mencius(rt::Env& env, DeliverFn deliver, MenciusConfig cfg,
-                 stats::ProtocolStats* stats)
+namespace {
+
+/// Idle floor-announcement period.
+constexpr Time kHeartbeatUs = 25 * kMs;
+/// Progress-watchdog period: checks for a stalled delivery frontier
+/// (triggering catch-up from a live peer), retries stale revocation rounds
+/// and re-proposes commands bounced off revoked slots.
+constexpr Time kCatchupIntervalUs = 250 * kMs;
+
+}  // namespace
+
+Mencius::Mencius(rt::Env& env, DeliverFn deliver, stats::ProtocolStats* stats)
     : rt::Protocol(env, std::move(deliver)),
-      cfg_(cfg),
       stats_(stats),
       n_(env.cluster_size()),
       cq_(classic_quorum_size(env.cluster_size())),
@@ -33,8 +42,8 @@ Mencius::Mencius(rt::Env& env, DeliverFn deliver, MenciusConfig cfg,
 }
 
 void Mencius::start() {
-  env_.set_timer(cfg_.heartbeat_us, [this] { heartbeat(); });
-  env_.set_timer(cfg_.catchup_interval_us, [this] { catchup_tick(); });
+  env_.set_timer(kHeartbeatUs, [this] { heartbeat(); });
+  env_.set_timer(kCatchupIntervalUs, [this] { catchup_tick(); });
 }
 
 void Mencius::on_recover() {
@@ -79,7 +88,7 @@ void Mencius::on_recover() {
   // the window before their re-ACCEPTs arrive. (Catch-up usually resolves
   // the same entries much earlier; the sweep is the backstop.)
   const Time rejoined_at = env_.now();
-  env_.set_timer(cfg_.resync_grace_us, [this, rejoined_at] {
+  env_.set_timer(kResyncGraceUs, [this, rejoined_at] {
     bool swept = false;
     for (auto it = accepted_slots_.begin(); it != accepted_slots_.end();) {
       if (it->second.seen < rejoined_at) {
@@ -202,7 +211,7 @@ void Mencius::heartbeat() {
   net::Encoder e = env_.encoder();
   e.put_varint(next_own_slot_);
   env_.broadcast(kFloor, std::move(e), /*include_self=*/false);
-  env_.set_timer(cfg_.heartbeat_us, [this] { heartbeat(); });
+  env_.set_timer(kHeartbeatUs, [this] { heartbeat(); });
 }
 
 void Mencius::propose(rsm::Command cmd) {
@@ -578,13 +587,13 @@ void Mencius::on_restore(storage::RecoveredState& st) {
 }
 
 void Mencius::catchup_tick() {
-  env_.set_timer(cfg_.catchup_interval_us, [this] { catchup_tick(); });
+  env_.set_timer(kCatchupIntervalUs, [this] { catchup_tick(); });
   maybe_start_revocations();
   // Retry revocation rounds whose responders changed or whose traffic was
   // lost: the driver recomputes who must answer (a responder may have
   // crashed since), re-checks the decide gate, and re-queries survivors.
   rec_.tick_rounds(
-      env_.now(), cfg_.catchup_interval_us,
+      env_.now(), kCatchupIntervalUs,
       [this](NodeId dead) { maybe_decide_revocation(dead); },
       [this](NodeId dead, const rt::RecoveryDriver::Round& round) {
         net::Encoder e = env_.encoder();
@@ -599,7 +608,7 @@ void Mencius::catchup_tick() {
   // rejoin. Ascending order with original-send floors, like any resend.
   std::map<std::uint64_t, const rsm::Command*> stale;
   for (auto& [slot, p] : pending_) {
-    if (env_.now() - p.start >= cfg_.catchup_interval_us) {
+    if (env_.now() - p.start >= kCatchupIntervalUs) {
       stale.emplace(slot, &p.cmd);
       p.start = env_.now();  // rate-limit per slot
     }

@@ -45,23 +45,14 @@
 
 namespace caesar::mencius {
 
-struct MenciusConfig {
-  /// Idle floor-announcement period.
-  Time heartbeat_us = 25 * kMs;
-  /// After a rejoin, how long to wait for owners' re-ACCEPTs / COMMIT
-  /// replays before sweeping unconfirmed pre-crash accept entries (must
-  /// exceed the cluster's failure-detector retraction delay).
-  Time resync_grace_us = 2 * kSec;
-  /// Progress-watchdog period: checks for a stalled delivery frontier
-  /// (triggering catch-up from a live peer), retries stale revocation
-  /// rounds and re-proposes commands bounced off revoked slots.
-  Time catchup_interval_us = 250 * kMs;
-};
+/// After a rejoin, how long to wait for owners' re-ACCEPTs / COMMIT replays
+/// before sweeping unconfirmed pre-crash accept entries (must exceed the
+/// cluster's failure-detector retraction delay; validate_scenario checks it).
+inline constexpr Time kResyncGraceUs = 2 * kSec;
 
 class Mencius final : public rt::Protocol {
  public:
-  Mencius(rt::Env& env, DeliverFn deliver, MenciusConfig cfg,
-          stats::ProtocolStats* stats);
+  Mencius(rt::Env& env, DeliverFn deliver, stats::ProtocolStats* stats);
 
   void start() override;
   void on_recover() override;
@@ -143,7 +134,6 @@ class Mencius final : public rt::Protocol {
     return static_cast<NodeId>(slot % n_);
   }
 
-  MenciusConfig cfg_;
   stats::ProtocolStats* stats_;
   /// Durable storage handle (null without a data dir). All record_* calls
   /// are gated on it, so durability-off runs take the exact same paths.

@@ -8,6 +8,14 @@
 
 namespace caesar::mpaxos {
 
+namespace {
+
+/// Progress-watchdog period: a stalled delivery watermark with commits
+/// queued above it triggers catch-up from a live peer.
+constexpr Time kCatchupIntervalUs = 250 * kMs;
+
+}  // namespace
+
 MultiPaxos::MultiPaxos(rt::Env& env, DeliverFn deliver, MultiPaxosConfig cfg,
                        stats::ProtocolStats* stats)
     : rt::Protocol(env, std::move(deliver)),
@@ -24,7 +32,7 @@ MultiPaxos::MultiPaxos(rt::Env& env, DeliverFn deliver, MultiPaxosConfig cfg,
 }
 
 void MultiPaxos::start() {
-  env_.set_timer(cfg_.catchup_interval_us, [this] { catchup_tick(); });
+  env_.set_timer(kCatchupIntervalUs, [this] { catchup_tick(); });
 }
 
 void MultiPaxos::propose(rsm::Command cmd) {
@@ -147,7 +155,7 @@ void MultiPaxos::on_recover() {
     resync_ = true;
     rec_.set_catchup_needed(true);
     request_catchup();
-    env_.set_timer(cfg_.resync_grace_us, [this] {
+    env_.set_timer(kResyncGraceUs, [this] {
       if (!resync_) return;
       resync_ = false;
       auto first = committed_.lower_bound(deliver_next_);
@@ -312,7 +320,7 @@ void MultiPaxos::on_restore(storage::RecoveredState& st) {
 }
 
 void MultiPaxos::catchup_tick() {
-  env_.set_timer(cfg_.catchup_interval_us, [this] { catchup_tick(); });
+  env_.set_timer(kCatchupIntervalUs, [this] { catchup_tick(); });
   // Commits queued above a stalled watermark mean this replica missed the
   // indices in between (their COMMITs were dropped while it was down or
   // partitioned): fetch them instead of waiting for the grace backstop.

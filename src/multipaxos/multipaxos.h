@@ -29,17 +29,15 @@
 
 namespace caesar::mpaxos {
 
+/// After a follower rejoin, how long to wait before jumping the delivery
+/// watermark past any gap that neither state transfer nor the leader's
+/// fd-retraction replay closed (must exceed the cluster's failure-detector
+/// delay; validate_scenario checks it). With catch-up in place this is a
+/// backstop that should never fire in practice.
+inline constexpr Time kResyncGraceUs = 2 * kSec;
+
 struct MultiPaxosConfig {
   NodeId leader = 0;
-  /// After a follower rejoin, how long to wait before jumping the delivery
-  /// watermark past any gap that neither state transfer nor the leader's
-  /// fd-retraction replay closed (must exceed the cluster's
-  /// failure-detector delay). With catch-up in place this is a backstop
-  /// that should never fire in practice.
-  Time resync_grace_us = 2 * kSec;
-  /// Progress-watchdog period: a stalled delivery watermark with commits
-  /// queued above it triggers catch-up from a live peer.
-  Time catchup_interval_us = 250 * kMs;
 };
 
 class MultiPaxos final : public rt::Protocol {

@@ -9,6 +9,15 @@
 
 namespace caesar::rt {
 
+namespace {
+
+/// CPU service time for accepting one client submission.
+constexpr Time kSubmitServiceUs = 3;
+/// Extra per-op service charged when proposing composite batches.
+constexpr Time kPerOpServiceUs = 1;
+
+}  // namespace
+
 Node::Node(sim::Simulator& sim, net::Network& net, NodeId id, NodeConfig cfg)
     : sim_(sim), net_(net), id_(id), cfg_(cfg), rng_(sim.rng().fork()) {
   net_.set_sink(id_, [this](NodeId from,
@@ -222,7 +231,7 @@ void Node::submit(rsm::Command cmd) {
   if (!cfg_.batching) {
     enqueue(
         [this, c = std::move(cmd)]() mutable { protocol_->propose(std::move(c)); },
-        cfg_.submit_service_us);
+        kSubmitServiceUs);
     return;
   }
   batch_ops_ += cmd.ops.size();
@@ -267,8 +276,7 @@ void Node::flush_batch() {
   batch_ops_ = 0;
   ++open_batches_;
   const Time service =
-      cfg_.submit_service_us +
-      cfg_.per_op_service_us * static_cast<Time>(cmds.size());
+      kSubmitServiceUs + kPerOpServiceUs * static_cast<Time>(cmds.size());
   enqueue(
       [this, cs = std::move(cmds)]() mutable {
         protocol_->propose_batch(std::move(cs));

@@ -33,8 +33,6 @@ namespace caesar::rt {
 struct NodeConfig {
   /// Base CPU service time per handled message, microseconds.
   Time base_service_us = 10;
-  /// CPU service time for accepting one client submission.
-  Time submit_service_us = 3;
   /// Client-request batching (the paper evaluates with and without). The
   /// batcher accumulates while the CPU is busy or the pipeline window is
   /// full and flushes the moment either clears; the two knobs below only
@@ -46,8 +44,6 @@ struct NodeConfig {
   /// Size cap: a batch reaching this many ops flushes as soon as the
   /// pipeline window has room. Must be >= 1.
   std::size_t batch_max_ops = 128;
-  /// Extra per-op service charged when proposing composite batches.
-  Time per_op_service_us = 1;
   /// Instance pipelining: max batch flushes from this node concurrently in
   /// flight (proposed but not yet delivered back at the origin) before the
   /// batcher holds further flushes. Must be >= 1; 1 = one batch per

@@ -8,14 +8,10 @@
 //
 //   * kHash  — splitmix64(key) % count: spreads any keyspace (including the
 //     paper model's sparse private-key ranges) evenly across groups;
-//   * kRange — [0, range_keyspace) split into `count` equal contiguous
-//     ranges, keys beyond the configured keyspace clamp to the last group.
+//   * kRange — the workload's keyspace [0, keyspace) split into `count`
+//     equal contiguous ranges, keys beyond it clamp to the last group.
 //     Natural for range scans and for demonstrating skew (a hot prefix lands
 //     in one group).
-//
-// Multi-key commands whose keys span groups are not committed atomically in
-// this layer: the router either pins them to the group owning the first key
-// or rejects them, per MultiKeyPolicy (cross-shard commit is future work).
 #pragma once
 
 #include <algorithm>
@@ -28,24 +24,13 @@
 namespace caesar::shard {
 
 enum class Partition { kHash, kRange };
-enum class MultiKeyPolicy { kPinFirstKey, kReject };
 
 /// Each value with its name in reports and scenario files.
 inline constexpr std::pair<std::string_view, Partition> kPartitionNames[] = {
     {"hash", Partition::kHash}, {"range", Partition::kRange}};
-inline constexpr std::pair<std::string_view, MultiKeyPolicy>
-    kMultiKeyNames[] = {{"pin-first-key", MultiKeyPolicy::kPinFirstKey},
-                        {"reject", MultiKeyPolicy::kReject}};
 
 constexpr std::string_view to_string(Partition p) {
   for (const auto& [name, value] : kPartitionNames) {
-    if (value == p) return name;
-  }
-  return "?";
-}
-
-constexpr std::string_view to_string(MultiKeyPolicy p) {
-  for (const auto& [name, value] : kMultiKeyNames) {
     if (value == p) return name;
   }
   return "?";
@@ -56,9 +41,6 @@ constexpr std::string_view to_string(MultiKeyPolicy p) {
 struct ShardSpec {
   std::uint32_t count = 1;
   Partition partition = Partition::kHash;
-  MultiKeyPolicy multi_key = MultiKeyPolicy::kPinFirstKey;
-  /// Range mode: the key domain that is split into equal ranges.
-  std::uint64_t range_keyspace = 1ull << 16;
 
   bool sharded() const { return count > 1; }
 };
@@ -74,13 +56,14 @@ constexpr std::uint64_t splitmix64(std::uint64_t x) {
 
 class ShardMap {
  public:
-  explicit ShardMap(ShardSpec spec)
+  /// `keyspace` is the workload's key domain (wl::KeyDistConfig::keyspace),
+  /// which range partitioning splits.
+  ShardMap(ShardSpec spec, std::uint64_t keyspace)
       : spec_(spec),
         range_width_(std::max<std::uint64_t>(
-            1, spec.range_keyspace / std::max<std::uint32_t>(1, spec.count))) {}
+            1, keyspace / std::max<std::uint32_t>(1, spec.count))) {}
 
   std::uint32_t count() const { return spec_.count; }
-  const ShardSpec& spec() const { return spec_; }
 
   /// Owning group of `key`; always 0 for an unsharded spec.
   std::uint32_t shard_of(Key key) const {

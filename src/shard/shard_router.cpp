@@ -4,29 +4,9 @@
 
 namespace caesar::shard {
 
-std::int32_t ShardRouter::route_group(const rsm::Command& cmd) {
-  const std::uint32_t owner = map_.shard_of(cmd.ops.front().key);
-  bool spans = false;
-  for (std::size_t i = 1; i < cmd.ops.size(); ++i) {
-    if (map_.shard_of(cmd.ops[i].key) != owner) {
-      spans = true;
-      break;
-    }
-  }
-  if (!spans) return static_cast<std::int32_t>(owner);
-  if (map_.spec().multi_key == MultiKeyPolicy::kReject) {
-    ++stats_.cross_shard_rejects;
-    return -1;
-  }
-  ++stats_.cross_shard_pins;
-  return static_cast<std::int32_t>(owner);
-}
-
 NodeId ShardRouter::submit(NodeId site, rsm::Command cmd) {
   if (cmd.ops.empty()) return kNoNode;
-  const std::int32_t g = route_group(cmd);
-  if (g < 0) return kNoNode;
-  const std::uint32_t group = static_cast<std::uint32_t>(g);
+  const std::uint32_t group = map_.shard_of(cmd.ops.front().key);
   rt::Cluster& grp = cluster_.group(group);
 
   NodeId target = site;

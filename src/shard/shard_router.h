@@ -1,16 +1,9 @@
 // ShardRouter: the wl::Frontend that sits between the client pool and a
 // ShardedCluster, routing every command to the consensus group that owns its
-// key(s).
-//
-// Routing rules:
-//   * single-key command  -> the ShardMap owner of that key;
-//   * multi-key, one group -> that group (keys happen to co-locate);
-//   * multi-key, spanning groups -> per MultiKeyPolicy either pinned to the
-//     group owning the FIRST key (counted as a cross_shard_pin; the other
-//     keys lose cross-group ordering — acceptable for stores where a command
-//     is a batch of independent writes) or rejected outright (counted as a
-//     cross_shard_reject, submit returns kNoNode). Atomic cross-shard commit
-//     is explicitly out of scope for this layer.
+// first key (the ShardMap owner). The pool submits one-op commands and
+// batches form after routing, inside a group's node, so no command the pool
+// sends spans groups; atomic cross-shard commit is out of scope for this
+// layer.
 //
 // Within the owning group the router prefers the client's own site replica;
 // when that replica is crashed in just that group it fails over to the next
@@ -38,10 +31,6 @@ class ShardRouter final : public wl::Frontend {
   struct Stats {
     /// Commands routed into each group (index = group).
     std::vector<std::uint64_t> routed;
-    /// Multi-key commands spanning groups, pinned to the first key's group.
-    std::uint64_t cross_shard_pins = 0;
-    /// Multi-key commands spanning groups, rejected (kReject policy).
-    std::uint64_t cross_shard_rejects = 0;
     /// Submissions diverted off the client's site replica because it was
     /// crashed in the owning group only.
     std::uint64_t reroutes = 0;
@@ -50,7 +39,7 @@ class ShardRouter final : public wl::Frontend {
   ShardRouter(ShardedCluster& cluster, ShardMap map)
       : cluster_(cluster),
         map_(std::move(map)),
-        stats_{std::vector<std::uint64_t>(cluster.groups(), 0), 0, 0, 0} {}
+        stats_{std::vector<std::uint64_t>(cluster.groups(), 0), 0} {}
 
   /// Called (by the scenario runner) when a request's routed replica
   /// delivers it — or when it crashed with the request still in flight.
@@ -80,9 +69,6 @@ class ShardRouter final : public wl::Frontend {
     std::uint32_t group = 0;
     NodeId node = kNoNode;
   };
-
-  /// Owning group of `cmd`, or -1 when the command must be rejected.
-  std::int32_t route_group(const rsm::Command& cmd);
 
   ShardedCluster& cluster_;
   ShardMap map_;

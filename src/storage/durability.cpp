@@ -15,6 +15,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
+/// Batched mode: a flush timer armed at the first buffered append fires
+/// after this long.
+constexpr Time kSyncIntervalUs = 5 * kMs;
+/// Simulated CPU cost of one synchronous flush on the append path.
+constexpr Time kFsyncCostUs = 50;
+
 std::string snapshot_name(std::uint64_t seq) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "snap-%010llu.snap",
@@ -182,23 +188,19 @@ void Durability::appended(std::size_t bytes) {
         arm_flush_timer();
       }
       break;
-    case SyncMode::kNone:
-      break;
   }
 }
 
 void Durability::flush_now(bool charge_cpu) {
   if (!wal_.flush()) return;
   if (stats_ != nullptr) ++stats_->fsyncs;
-  if (charge_cpu && charge_ && cfg_.fsync_cost_us > 0) {
-    charge_(cfg_.fsync_cost_us);
-  }
+  if (charge_cpu && charge_) charge_(kFsyncCostUs);
 }
 
 void Durability::arm_flush_timer() {
   if (flush_timer_armed_ || !schedule_) return;
   flush_timer_armed_ = true;
-  schedule_(cfg_.sync_interval_us, [this] {
+  schedule_(kSyncIntervalUs, [this] {
     flush_timer_armed_ = false;
     flush_now(/*charge_cpu=*/false);
   });

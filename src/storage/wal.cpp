@@ -12,17 +12,14 @@ namespace caesar::storage {
 namespace fs = std::filesystem;
 
 SyncMode parse_sync_mode(const std::string& name) {
-  if (name == "none") return SyncMode::kNone;
   if (name == "batched") return SyncMode::kBatched;
   if (name == "always") return SyncMode::kAlways;
   throw std::invalid_argument("unknown sync mode: " + name +
-                              " (expected none|batched|always)");
+                              " (expected batched|always)");
 }
 
 std::string to_string(SyncMode m) {
   switch (m) {
-    case SyncMode::kNone:
-      return "none";
     case SyncMode::kBatched:
       return "batched";
     case SyncMode::kAlways:

@@ -4,10 +4,10 @@
 // Modeled on a production acceptor's stable storage (libpaxos's BDB-backed
 // store is the reference design): appends buffer in memory and only become
 // durable at a flush ("fsync") boundary, which SyncMode schedules —
-// per-append (always), time/size-capped batches (batched, the group-commit
-// default), or never except at segment boundaries (none). A crash or power
-// loss discards the unflushed tail; replay reads back exactly the records
-// that were flushed, stopping at the first torn or corrupt frame.
+// per-append (always) or time/size-capped batches (batched, the group-commit
+// default). A crash or power loss discards the unflushed tail; replay reads
+// back exactly the records that were flushed, stopping at the first torn or
+// corrupt frame.
 //
 // On-disk layout (per node directory):
 //   wal-<seq>.log  segments: 16-byte header (magic, version, segment seq)
@@ -32,13 +32,12 @@ namespace caesar::storage {
 
 /// Group-commit policy: when do appended records reach disk?
 enum class SyncMode {
-  kNone,     // only at segment boundaries (snapshot/roll/close)
   kBatched,  // time/size-capped batches (group commit) — the default
   kAlways,   // every append flushes before returning
 };
 
-/// Returns the mode for "none" | "batched" | "always"; throws
-/// std::invalid_argument on anything else.
+/// Returns the mode for "batched" | "always"; throws std::invalid_argument
+/// on anything else.
 SyncMode parse_sync_mode(const std::string& name);
 std::string to_string(SyncMode m);
 
@@ -47,8 +46,6 @@ struct StorageConfig {
   /// Each node writes under <data_dir>/node-<id>/.
   std::string data_dir;
   SyncMode sync_mode = SyncMode::kBatched;
-  /// Batched mode: a flush timer armed at the first buffered append.
-  Time sync_interval_us = 5 * kMs;
   /// Batched mode: flush immediately once this many bytes are buffered.
   std::size_t sync_bytes = 64 * 1024;
   /// Roll to a new segment once the active one exceeds this.
@@ -59,8 +56,6 @@ struct StorageConfig {
   /// Snapshots are written asynchronously off a copy: delay between the
   /// trigger and the file appearing on disk.
   Time snapshot_write_delay_us = 10 * kMs;
-  /// Simulated CPU cost of one synchronous flush on the append path.
-  Time fsync_cost_us = 50;
 
   bool enabled() const { return !data_dir.empty(); }
 };

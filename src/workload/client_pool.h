@@ -37,8 +37,8 @@ struct WorkloadConfig {
   std::uint32_t clients_per_site = 10;
   double conflict_fraction = 0.0;
   std::uint64_t shared_pool_size = 100;
-  /// Key distribution: the paper's conflict model by default; uniform,
-  /// Zipfian or hot-key over a global keyspace for shard/skew experiments.
+  /// Key distribution: the paper's conflict model by default; uniform or
+  /// Zipfian over a global keyspace for shard/skew experiments.
   KeyDistConfig key_dist;
   /// Optional per-request think time (0 = saturating closed loop).
   Time think_us = 0;
@@ -66,11 +66,12 @@ class Frontend {
   /// True when no replica at `site` can take submissions any more (for a
   /// sharded frontend: crashed in every group) — clients reconnect elsewhere.
   virtual bool crashed(NodeId site) const = 0;
-  /// Submits `cmd` on behalf of a client attached to `site`. Returns the
-  /// node the command actually went to — usually `site`, but a routing
-  /// frontend may divert around a group-scoped crash — or kNoNode when the
-  /// command was dropped (target dead) or rejected (cross-shard policy).
-  /// Completion is observed as a delivery at the returned node.
+  /// Submits `cmd`, a one-op command (batches form after routing, inside
+  /// the node), on behalf of a client attached to `site`. Returns the node
+  /// the command actually went to — usually `site`, but a routing frontend
+  /// may divert around a group-scoped crash — or kNoNode when the command
+  /// was dropped (target dead). Completion is observed as a delivery at the
+  /// returned node.
   virtual NodeId submit(NodeId site, rsm::Command cmd) = 0;
 };
 

@@ -6,15 +6,13 @@
 // to one of its own private keys, which no other client ever touches.
 //
 // Sharded and skew experiments need keyspace-wide distributions instead, so
-// KeyChooser also speaks three global-keyspace dialects, all seeded and
+// KeyChooser also speaks two global-keyspace dialects, both seeded and
 // deterministic:
 //
 //   * kUniform — uniform over [0, keyspace);
 //   * kZipfian — Zipf(theta) over [0, keyspace), rank 0 hottest, using the
 //     Gray et al. rejection-free generator (the YCSB formula) off a zeta
-//     table shared by all choosers of a pool;
-//   * kHotKey — a fixed hot set [0, hot_keys) receives `hot_fraction` of the
-//     traffic, the cold remainder is uniform over [hot_keys, keyspace).
+//     table shared by all choosers of a pool.
 #pragma once
 
 #include <cmath>
@@ -30,19 +28,15 @@ enum class KeyDist {
   kPaperConflict,  // the paper's shared-pool / private-key model (default)
   kUniform,
   kZipfian,
-  kHotKey,
 };
 
 struct KeyDistConfig {
   KeyDist dist = KeyDist::kPaperConflict;
-  /// Keyspace size for the global-distribution modes.
+  /// Keyspace size for the global-distribution modes, and the key domain
+  /// that range sharding splits into equal ranges (shard::ShardMap).
   std::uint64_t keyspace = 1ull << 16;
   /// Zipf skew parameter, in (0, 1). 0.99 is the YCSB default.
   double zipf_theta = 0.99;
-  /// Hot-key mode: fraction of draws that land in the hot set.
-  double hot_fraction = 0.9;
-  /// Hot-key mode: size of the hot set (keys 0 .. hot_keys-1).
-  std::uint64_t hot_keys = 8;
 };
 
 /// Precomputed Zipfian state (zeta sums), shared by every chooser of a pool
@@ -106,11 +100,6 @@ class KeyChooser {
         return rng.uniform_int(dist_.keyspace);
       case KeyDist::kZipfian:
         return zipf_->sample(rng);
-      case KeyDist::kHotKey:
-        if (rng.bernoulli(dist_.hot_fraction)) {
-          return rng.uniform_int(dist_.hot_keys);
-        }
-        return dist_.hot_keys + rng.uniform_int(dist_.keyspace - dist_.hot_keys);
     }
     if (shared_pool_size_ > 0 && rng.bernoulli(conflict_fraction_)) {
       return rng.uniform_int(shared_pool_size_);

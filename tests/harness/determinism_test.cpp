@@ -317,10 +317,10 @@ const Pin kPins[] = {
     {"restart-disk", kMe, 0x898fe647fdfe02cf},
     {"restart-disk", kMp, 0xfe73a64e5742d52d},
     {"restart-disk", kCr, 0x0ea1237616b9deed},
-    {"sharded-hash2", kMe, 0x4b5b03fcb57ddbe4},
-    {"sharded-hash4", kEp, 0x8207474b6d53fef8},
-    {"sharded-range3-faults", kMe, 0x2bb02f915f91d391},
-    {"sharded-group-then-site-crash", kMe, 0x20c1447a5d51dbc2},
+    {"sharded-hash2", kMe, 0x1e9fd75411b73db9},
+    {"sharded-hash4", kEp, 0x3be8de0ea6d222c7},
+    {"sharded-range3-faults", kMe, 0xbed5076166a28c9c},
+    {"sharded-group-then-site-crash", kMe, 0x5f2dd1d809d01ab3},
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,6 +3,7 @@
 // paper's evaluation is built on.
 #include <gtest/gtest.h>
 
+#include "harness/oracle.h"
 #include "harness/scenario.h"
 
 namespace caesar::harness {
@@ -50,6 +51,18 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ProtocolKind>& info) {
       return std::string(to_string(info.param));
     });
+
+// The cheapest known reproduction of M2Paxos deciding two commands at one
+// key position (ROADMAP.md, the M2Paxos item): the high-conflict run above
+// passes the common-order check behind RunReport::consistent, but the
+// per-key prefix oracle finds nodes 0 and 1 disagreeing at key 70, position
+// 0 (c(0.1) vs c(1.3)). Enable it with the ownership-acquisition fix.
+TEST(HarnessTest, DISABLED_M2PaxosHighConflictsPassThePrefixOracle) {
+  const RunReport r =
+      run_scenario(small_scenario(ProtocolKind::kM2Paxos, 0.5));
+  const ConsistencyVerdict v = check_cluster_consistency(r, {false, false});
+  EXPECT_TRUE(v) << v.detail;
+}
 
 TEST(HarnessTest, SiteMetricsCoverAllFiveSites) {
   RunReport r = run_scenario(small_scenario(ProtocolKind::kCaesar, 0.0));
@@ -120,7 +133,6 @@ TEST(HarnessTest, BatchingIncreasesThroughputUnderLoad) {
   plain.duration = 4 * kSec;
   plain.warmup = 1 * kSec;
   plain.caesar.gossip_interval_us = 100 * kMs;  // GC: keep indexes bounded
-  plain.check_consistency = false;              // keep the long run light
   Scenario batched = plain;
   batched.node.batching = true;
   batched.node.batch_delay_us = 3 * kMs;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 #include <string>
@@ -33,14 +34,12 @@ TEST(ScenarioFileTest, ParsesFullDocument) {
     "duration_s": 6,
     "warmup_s": 1,
     "seed": 99,
-    "shards": {"count": 4, "partition": "range",
-               "multi_key": "reject", "range_keyspace": 4096},
+    "shards": {"count": 4, "partition": "range"},
     "key_dist": {"dist": "zipfian", "keyspace": 4096, "theta": 0.8},
     "faults": [{"kind": "crash", "node": 2, "group": 1, "at_s": 3},
                {"kind": "recover", "node": 2, "group": 1, "at_s": 4.5}],
     "fd_timeout_ms": 400,
-    "metrics_window_s": 2,
-    "check_consistency": false
+    "metrics_window_s": 2
   })";
   const Scenario s = scenario_from_json(text, "test.json");
   EXPECT_EQ(s.name, "my-experiment");
@@ -52,8 +51,6 @@ TEST(ScenarioFileTest, ParsesFullDocument) {
   EXPECT_EQ(s.seed, 99u);
   EXPECT_EQ(s.shards.count, 4u);
   EXPECT_EQ(s.shards.partition, shard::Partition::kRange);
-  EXPECT_EQ(s.shards.multi_key, shard::MultiKeyPolicy::kReject);
-  EXPECT_EQ(s.shards.range_keyspace, 4096u);
   EXPECT_EQ(s.workload.key_dist.dist, wl::KeyDist::kZipfian);
   EXPECT_EQ(s.workload.key_dist.keyspace, 4096u);
   EXPECT_DOUBLE_EQ(s.workload.key_dist.zipf_theta, 0.8);
@@ -65,7 +62,6 @@ TEST(ScenarioFileTest, ParsesFullDocument) {
   EXPECT_EQ(s.faults[1].at, 4 * kSec + 500 * kMs);
   EXPECT_EQ(s.fd_timeout_us, 400 * kMs);
   EXPECT_EQ(s.metrics_window_us, 2 * kSec);
-  EXPECT_FALSE(s.check_consistency);
 }
 
 TEST(ScenarioFileTest, ParsesPhases) {
@@ -214,7 +210,6 @@ TEST(ScenarioFileTest, SetKnobTakesFileKeysWithJsonValues) {
   Scenario s = make_scenario("quickstart");
   set_scenario_knob(s, "protocol", "epaxos");  // not JSON: a bare string
   set_scenario_knob(s, "seed", "42");
-  set_scenario_knob(s, "check_consistency", "false");
   set_scenario_knob(s, "phases",
                     R"([{"mode": "open-loop", "at_s": 0, "rate_tps": 900}])");
   set_scenario_knob(s, "node.batch_max_ops", "64");
@@ -223,7 +218,6 @@ TEST(ScenarioFileTest, SetKnobTakesFileKeysWithJsonValues) {
   set_scenario_knob(s, "caesar.wait_enabled", "false");
   EXPECT_EQ(s.protocol, ProtocolKind::kEPaxos);
   EXPECT_EQ(s.seed, 42u);
-  EXPECT_FALSE(s.check_consistency);
   ASSERT_EQ(s.phases.size(), 1u);
   EXPECT_EQ(s.phases[0].mode, wl::PhaseSpec::Mode::kOpenLoop);
   EXPECT_DOUBLE_EQ(s.phases[0].arrival_rate_tps, 900.0);
@@ -293,6 +287,21 @@ TEST(ScenarioFileTest, LoadsFromDiskAndReportsMissingFiles) {
 
   EXPECT_THROW(load_scenario_file("/nonexistent/scenario.json"),
                std::runtime_error);
+}
+
+TEST(ScenarioFileTest, CommittedScenarioFilesLoadAndValidate) {
+  // Every example scenario file must parse and validate (without running):
+  // a key the parser no longer takes fails here, not in a user's run.
+  const std::filesystem::path dir =
+      std::filesystem::path(CAESAR_SOURCE_DIR) / "examples" / "scenarios";
+  std::size_t loaded = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".json") continue;
+    EXPECT_NO_THROW(load_scenario_file(entry.path().string()))
+        << entry.path();
+    ++loaded;
+  }
+  EXPECT_GE(loaded, 2u) << "no scenario files found in " << dir;
 }
 
 TEST(ScenarioFileTest, ErrorMessagesCarryTheOrigin) {

@@ -101,11 +101,12 @@ TEST(ScenarioValidationTest, RejectsMalformedScenarios) {
                    .build(),
                std::invalid_argument);
   // Resync grace must cover the failure-detector retraction delay.
-  EXPECT_THROW(ScenarioBuilder("t")
-                   .protocol(ProtocolKind::kMencius)
-                   .fd_timeout(5 * kSec)
-                   .build(),
-               std::invalid_argument);
+  for (ProtocolKind p : {ProtocolKind::kMencius, ProtocolKind::kMultiPaxos}) {
+    EXPECT_THROW(
+        ScenarioBuilder("t").protocol(p).fd_timeout(5 * kSec).build(),
+        std::invalid_argument)
+        << to_string(p);
+  }
   // Ack and peer bitmasks cap these protocols' topologies at 64 sites.
   for (ProtocolKind p : {ProtocolKind::kMencius, ProtocolKind::kMultiPaxos,
                          ProtocolKind::kClockRsm, ProtocolKind::kCaesar,

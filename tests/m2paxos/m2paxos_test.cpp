@@ -11,16 +11,15 @@ namespace caesar::m2paxos {
 namespace {
 
 struct Fixture {
-  explicit Fixture(std::size_t n, M2PaxosConfig mcfg = {},
-                   net::Topology topo = net::Topology::lan(5),
+  explicit Fixture(std::size_t n, net::Topology topo = net::Topology::lan(5),
                    std::uint64_t seed = 17)
       : sim(seed), stats(n), logs(n) {
     EXPECT_EQ(topo.size(), n);
     rt::ClusterConfig cfg;
     cluster = std::make_unique<rt::Cluster>(
         sim, topo, cfg,
-        [&, mcfg](rt::Env& env, rt::Protocol::DeliverFn deliver) {
-          return std::make_unique<M2Paxos>(env, std::move(deliver), mcfg,
+        [&](rt::Env& env, rt::Protocol::DeliverFn deliver) {
+          return std::make_unique<M2Paxos>(env, std::move(deliver),
                                            &stats[env.id()]);
         },
         [this](NodeId node, const rsm::Command& cmd) {
@@ -125,7 +124,7 @@ TEST(M2PaxosTest, GeoForwardingAddsLatency) {
   // Owner in Mumbai, client in Virginia: the forward hop plus Mumbai's
   // majority round trip dominate (paper: "the node having the ownership of
   // the key may be faraway").
-  Fixture f(5, M2PaxosConfig{}, net::Topology::ec2_five_sites());
+  Fixture f(5, net::Topology::ec2_five_sites());
   f.submit(4, 5);  // Mumbai acquires the key
   f.sim.run_until(2 * kSec);
   const std::size_t before = f.logs[0].size();
@@ -140,7 +139,7 @@ TEST(M2PaxosTest, GeoForwardingAddsLatency) {
 TEST(M2PaxosTest, RandomizedSeedSweepConsistency) {
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     for (double conflict : {0.2, 1.0}) {
-      Fixture f(5, M2PaxosConfig{}, net::Topology::ec2_five_sites(), seed);
+      Fixture f(5, net::Topology::ec2_five_sites(), seed);
       Rng rng(seed * 7 + static_cast<std::uint64_t>(conflict * 10));
       const int total = 40;
       for (int i = 0; i < total; ++i) {
@@ -186,7 +185,7 @@ TEST(M2PaxosTest, ColdStartBurstDeliversEverything) {
   // other owned the key, bouncing commands forever (a handful of commands
   // out of a hundred would ever deliver). Epoch teaching on forwards plus
   // the hop-limited drop and the origin watchdog must deliver every command.
-  Fixture f(5, M2PaxosConfig{}, net::Topology::ec2_five_sites(), 5);
+  Fixture f(5, net::Topology::ec2_five_sites(), 5);
   Rng rng(1);
   for (int i = 0; i < 30; ++i) {
     const NodeId at = static_cast<NodeId>(rng.uniform_int(5));
@@ -203,7 +202,7 @@ TEST(M2PaxosTest, ColdStartBurstDeliversEverything) {
 TEST(M2PaxosTest, WatchdogTimerKeepsFiringQuietly) {
   // The origin watchdog must not disturb an idle or healthy cluster: no
   // spurious re-decides (exactly one delivery per command).
-  Fixture f(5, M2PaxosConfig{}, net::Topology::lan(5), 6);
+  Fixture f(5, net::Topology::lan(5), 6);
   f.submit(0, 3);
   f.sim.run_until(10 * kSec);  // several watchdog sweeps pass
   for (NodeId i = 0; i < 5; ++i) {
@@ -216,7 +215,7 @@ TEST(M2PaxosTest, StaleOwnershipViewsSelfCorrectOnUse) {
   // contended cold start. What matters is that *using* the key from any
   // node still works — the forward's epoch teaching corrects the view en
   // route.
-  Fixture f(5, M2PaxosConfig{}, net::Topology::ec2_five_sites(), 7);
+  Fixture f(5, net::Topology::ec2_five_sites(), 7);
   for (NodeId n = 0; n < 5; ++n) f.submit(n, 42);
   f.sim.run_until(15 * kSec);
   for (NodeId i = 0; i < 5; ++i) ASSERT_EQ(f.logs[i].size(), 5u);

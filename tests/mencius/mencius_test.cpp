@@ -11,16 +11,15 @@ namespace caesar::mencius {
 namespace {
 
 struct Fixture {
-  explicit Fixture(std::size_t n, MenciusConfig mcfg = {},
-                   net::Topology topo = net::Topology::lan(5),
+  explicit Fixture(std::size_t n, net::Topology topo = net::Topology::lan(5),
                    std::uint64_t seed = 17)
       : sim(seed), stats(n), logs(n) {
     EXPECT_EQ(topo.size(), n);
     rt::ClusterConfig cfg;
     cluster = std::make_unique<rt::Cluster>(
         sim, topo, cfg,
-        [&, mcfg](rt::Env& env, rt::Protocol::DeliverFn deliver) {
-          return std::make_unique<Mencius>(env, std::move(deliver), mcfg,
+        [&](rt::Env& env, rt::Protocol::DeliverFn deliver) {
+          return std::make_unique<Mencius>(env, std::move(deliver),
                                            &stats[env.id()]);
         },
         [this](NodeId node, const rsm::Command& cmd) {
@@ -94,7 +93,7 @@ TEST(MenciusTest, ConflictObliviousLatency) {
   // Same submission pattern, disjoint vs identical keys: latency must be
   // (nearly) identical — Mencius does not track conflicts at all.
   auto run = [](bool conflicting) {
-    Fixture f(5, MenciusConfig{}, net::Topology::ec2_five_sites());
+    Fixture f(5, net::Topology::ec2_five_sites());
     for (NodeId n = 0; n < 5; ++n) {
       f.submit(n, conflicting ? 1 : 100 + n);
     }
@@ -112,7 +111,7 @@ TEST(MenciusTest, DeliveryWaitsForFarthestNode) {
   // deliver its own later command until Mumbai's slot resolves — Mencius
   // "performs as the slowest node" (paper §II/§VI), even though a majority
   // is much closer to Virginia.
-  Fixture f(5, MenciusConfig{}, net::Topology::ec2_five_sites());
+  Fixture f(5, net::Topology::ec2_five_sites());
   f.submit(0, 1);                                // VA, slot 0
   f.sim.at(1 * kMs, [&f] { f.submit(4, 2); });   // Mumbai, slot 4
   f.sim.at(2 * kMs, [&f] { f.submit(0, 3); });   // VA again, slot 5

@@ -10,10 +10,13 @@
 namespace caesar::shard {
 namespace {
 
+/// The workload keyspace handed to maps whose partitioning ignores it.
+constexpr std::uint64_t kKeyspace = 1ull << 16;
+
 TEST(ShardMapTest, SingleGroupOwnsEverything) {
   ShardSpec spec;
   spec.count = 1;
-  ShardMap map(spec);
+  ShardMap map(spec, kKeyspace);
   EXPECT_FALSE(spec.sharded());
   for (Key k : {Key{0}, Key{1}, Key{12345}, Key{1ull << 40}}) {
     EXPECT_EQ(map.shard_of(k), 0u);
@@ -23,8 +26,8 @@ TEST(ShardMapTest, SingleGroupOwnsEverything) {
 TEST(ShardMapTest, HashAssignmentIsDeterministic) {
   ShardSpec spec;
   spec.count = 4;
-  ShardMap a(spec);
-  ShardMap b(spec);
+  ShardMap a(spec, kKeyspace);
+  ShardMap b(spec, kKeyspace);
   for (Key k = 0; k < 1000; ++k) {
     EXPECT_EQ(a.shard_of(k), b.shard_of(k));
     EXPECT_EQ(a.shard_of(k), splitmix64(k) % 4);
@@ -36,7 +39,7 @@ TEST(ShardMapTest, HashSpreadsSequentialKeysEvenly) {
   // must keep every group within 10% of the fair share.
   ShardSpec spec;
   spec.count = 4;
-  ShardMap map(spec);
+  ShardMap map(spec, kKeyspace);
   const std::uint64_t kKeys = 100000;
   std::vector<std::uint64_t> counts(spec.count, 0);
   for (Key k = 0; k < kKeys; ++k) ++counts[map.shard_of(k)];
@@ -52,7 +55,7 @@ TEST(ShardMapTest, HashSpreadsSparsePrivateKeyRangesEvenly) {
   // a sparse structured keyspace that must still balance.
   ShardSpec spec;
   spec.count = 4;
-  ShardMap map(spec);
+  ShardMap map(spec, kKeyspace);
   std::vector<std::uint64_t> counts(spec.count, 0);
   std::uint64_t total = 0;
   for (std::uint64_t client = 0; client < 2000; ++client) {
@@ -72,8 +75,7 @@ TEST(ShardMapTest, RangePartitionBoundaries) {
   ShardSpec spec;
   spec.count = 4;
   spec.partition = Partition::kRange;
-  spec.range_keyspace = 100;  // width 25 per group
-  ShardMap map(spec);
+  ShardMap map(spec, /*keyspace=*/100);  // width 25 per group
   EXPECT_EQ(map.shard_of(0), 0u);
   EXPECT_EQ(map.shard_of(24), 0u);
   EXPECT_EQ(map.shard_of(25), 1u);
@@ -87,20 +89,18 @@ TEST(ShardMapTest, RangeKeysBeyondKeyspaceClampToLastGroup) {
   ShardSpec spec;
   spec.count = 4;
   spec.partition = Partition::kRange;
-  spec.range_keyspace = 100;
-  ShardMap map(spec);
+  ShardMap map(spec, /*keyspace=*/100);
   EXPECT_EQ(map.shard_of(100), 3u);
   EXPECT_EQ(map.shard_of(1ull << 50), 3u);
 }
 
 TEST(ShardMapTest, RangeWithTinyKeyspaceStillCoversAllKeys) {
-  // range_keyspace < count: width clamps to 1, high keys clamp to the last
-  // group — no division by zero, every key has an owner.
+  // keyspace < count: width clamps to 1, high keys clamp to the last group
+  // — no division by zero, every key has an owner.
   ShardSpec spec;
   spec.count = 8;
   spec.partition = Partition::kRange;
-  spec.range_keyspace = 3;
-  ShardMap map(spec);
+  ShardMap map(spec, /*keyspace=*/3);
   EXPECT_EQ(map.shard_of(0), 0u);
   EXPECT_EQ(map.shard_of(1), 1u);
   EXPECT_EQ(map.shard_of(2), 2u);
@@ -110,8 +110,6 @@ TEST(ShardMapTest, RangeWithTinyKeyspaceStillCoversAllKeys) {
 TEST(ShardMapTest, ToStringCoversEnums) {
   EXPECT_EQ(to_string(Partition::kHash), "hash");
   EXPECT_EQ(to_string(Partition::kRange), "range");
-  EXPECT_EQ(to_string(MultiKeyPolicy::kPinFirstKey), "pin-first-key");
-  EXPECT_EQ(to_string(MultiKeyPolicy::kReject), "reject");
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// ShardRouter tests: ownership routing, multi-key pin/reject policies,
+// ShardRouter tests: ownership routing by a command's first key,
 // group-scoped failover (reroutes) vs whole-site crashes, and deterministic
 // in-flight loss reporting.
 #include "shard/shard_router.h"
@@ -42,7 +42,8 @@ struct RouterRig {
           delivered.emplace_back(g, node);
           router->on_delivery(g, node, cmd);
         });
-    router = std::make_unique<ShardRouter>(*cluster, ShardMap(spec));
+    router = std::make_unique<ShardRouter>(
+        *cluster, ShardMap(spec, s.workload.key_dist.keyspace));
     router->set_loss_hook([this](ReqId req) { lost.push_back(req); });
     cluster->start();
   }
@@ -80,8 +81,6 @@ TEST(ShardRouterTest, RoutesSingleKeyCommandToOwnerGroup) {
   EXPECT_NE(rig.router->submit(2, rig.cmd({k1}, 3)), kNoNode);
   EXPECT_EQ(rig.router->stats().routed[0], 1u);
   EXPECT_EQ(rig.router->stats().routed[1], 2u);
-  EXPECT_EQ(rig.router->stats().cross_shard_pins, 0u);
-  EXPECT_EQ(rig.router->stats().cross_shard_rejects, 0u);
 
   // The owning groups actually deliver the commands.
   rig.sim.run_until(2 * kSec);
@@ -100,35 +99,18 @@ TEST(ShardRouterTest, CoLocatedMultiKeyCommandIsNotAPin) {
   const Key a = rig.key_in_group(1);
   const Key b = rig.key_in_group(1, a + 1);
   EXPECT_NE(rig.router->submit(0, rig.cmd({a, b}, 1)), kNoNode);
-  EXPECT_EQ(rig.router->stats().cross_shard_pins, 0u);
   EXPECT_EQ(rig.router->stats().routed[1], 1u);
 }
 
 TEST(ShardRouterTest, PinsSpanningCommandToFirstKeysGroup) {
   ShardSpec spec;
   spec.count = 2;
-  spec.multi_key = MultiKeyPolicy::kPinFirstKey;
   RouterRig rig(spec);
   const Key a = rig.key_in_group(1);  // first key owns the command
   const Key b = rig.key_in_group(0);
   EXPECT_NE(rig.router->submit(0, rig.cmd({a, b}, 1)), kNoNode);
-  EXPECT_EQ(rig.router->stats().cross_shard_pins, 1u);
-  EXPECT_EQ(rig.router->stats().cross_shard_rejects, 0u);
   EXPECT_EQ(rig.router->stats().routed[1], 1u);
   EXPECT_EQ(rig.router->stats().routed[0], 0u);
-}
-
-TEST(ShardRouterTest, RejectsSpanningCommandUnderRejectPolicy) {
-  ShardSpec spec;
-  spec.count = 2;
-  spec.multi_key = MultiKeyPolicy::kReject;
-  RouterRig rig(spec);
-  const Key a = rig.key_in_group(0);
-  const Key b = rig.key_in_group(1);
-  EXPECT_EQ(rig.router->submit(0, rig.cmd({a, b}, 1)), kNoNode);
-  EXPECT_EQ(rig.router->stats().cross_shard_rejects, 1u);
-  EXPECT_EQ(rig.router->stats().routed[0], 0u);
-  EXPECT_EQ(rig.router->stats().routed[1], 0u);
 }
 
 TEST(ShardRouterTest, ReroutesAroundGroupScopedCrash) {

@@ -93,16 +93,19 @@ TEST(DurabilityTest, BatchedModeLosesUnflushedTailOnPowerLoss) {
   EXPECT_EQ(st.log.size(), 4u);
 }
 
-// The index-reuse fence is force-flushed even in sync-mode none: a restarted
-// node must never re-originate an index it may have proposed before.
+// The index-reuse fence is force-flushed whatever the sync mode: a
+// restarted node must never re-originate an index it may have proposed
+// before. Batched mode with no scheduler and no size trigger never flushes
+// on its own, which is the case the force-flush covers.
 TEST(DurabilityTest, BoundIsDurableEvenInSyncModeNone) {
   const std::string dir = fresh_dir("bound");
   StorageConfig cfg;
-  cfg.sync_mode = SyncMode::kNone;
+  cfg.sync_mode = SyncMode::kBatched;
+  cfg.sync_bytes = 1 << 20;  // no size-trigger; no scheduler = no timer
   cfg.snapshot_every = 0;
   {
     Durability d(dir, cfg);
-    d.record_accept(7, make_cmd(7, 1, 1));  // not flushed in kNone
+    d.record_accept(7, make_cmd(7, 1, 1));  // not flushed on its own
     d.record_bound(320);                    // force-flushed (with the accept)
     d.record_accept(8, make_cmd(8, 2, 2));  // after the flush: lost
     d.on_crash();

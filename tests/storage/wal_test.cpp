@@ -264,7 +264,6 @@ TEST(WalTest, SegmentHeaderGolden) {
 }
 
 TEST(WalTest, ParseSyncModeNames) {
-  EXPECT_EQ(parse_sync_mode("none"), SyncMode::kNone);
   EXPECT_EQ(parse_sync_mode("batched"), SyncMode::kBatched);
   EXPECT_EQ(parse_sync_mode("always"), SyncMode::kAlways);
   EXPECT_THROW(parse_sync_mode("fsync-maybe"), std::invalid_argument);

@@ -1,4 +1,4 @@
-// Key-distribution tests: the uniform/Zipfian/hot-key choosers produce the
+// Key-distribution tests: the uniform and Zipfian choosers produce the
 // distribution shapes they promise, deterministically in the seed.
 #include "workload/key_chooser.h"
 
@@ -76,39 +76,6 @@ TEST(KeyChooserTest, ZipfianIsDeterministicInTheSeed) {
   Rng ra(7), rb(7);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(a.next(ra), b.next(rb));
-  }
-}
-
-TEST(KeyChooserTest, HotKeyFractionLandsInTheHotSet) {
-  KeyDistConfig cfg;
-  cfg.dist = KeyDist::kHotKey;
-  cfg.keyspace = 10000;
-  cfg.hot_keys = 8;
-  cfg.hot_fraction = 0.9;
-  KeyChooser chooser = make(cfg);
-  Rng rng(42);
-  std::uint64_t hot = 0;
-  for (std::uint64_t i = 0; i < kDraws; ++i) {
-    const Key k = chooser.next(rng);
-    ASSERT_LT(k, cfg.keyspace);
-    if (k < cfg.hot_keys) ++hot;
-  }
-  const double hot_share = static_cast<double>(hot) / kDraws;
-  EXPECT_NEAR(hot_share, 0.9, 0.01);
-}
-
-TEST(KeyChooserTest, HotKeyColdTrafficAvoidsTheHotSet) {
-  KeyDistConfig cfg;
-  cfg.dist = KeyDist::kHotKey;
-  cfg.keyspace = 100;
-  cfg.hot_keys = 4;
-  cfg.hot_fraction = 0.0;  // everything cold
-  KeyChooser chooser = make(cfg);
-  Rng rng(42);
-  for (std::uint64_t i = 0; i < 10000; ++i) {
-    const Key k = chooser.next(rng);
-    EXPECT_GE(k, cfg.hot_keys);
-    EXPECT_LT(k, cfg.keyspace);
   }
 }
 

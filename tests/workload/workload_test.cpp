@@ -68,7 +68,8 @@ struct PoolFixture {
                   router.on_delivery(g, node, cmd);
                   if (pool) pool->on_delivery(node, cmd);
                 }),
-        router(cluster, shard::ShardMap(shard::ShardSpec{})) {
+        router(cluster, shard::ShardMap(shard::ShardSpec{},
+                                        wcfg.key_dist.keyspace)) {
     pool = std::make_unique<ClientPool>(sim, router, wcfg, sim.rng().fork(),
                                         std::move(phases));
     router.set_loss_hook([this](ReqId req) { pool->on_request_lost(req); });
