@@ -112,9 +112,12 @@ struct RunReport {
 
   /// The weak common-order check: for every pair of replicas and every key,
   /// the commands both logs hold appear in the same relative order
-  /// (rsm::consistent_key_orders). A replica whose log omits a command from
-  /// the middle still passes; the per-key prefix oracle in harness/oracle.h
-  /// (check_cluster_consistency) is the stronger verdict.
+  /// (rsm::consistent_key_orders, a merge-join over each log's key-sorted
+  /// runs; it builds each log's per-key order, which the oracle then
+  /// reuses). A replica whose log omits a command from the middle still
+  /// passes; the per-key prefix oracle in harness/oracle.h
+  /// (check_cluster_consistency) is the stronger verdict. fig8, fig9 and
+  /// consensus_cli exit nonzero when it reads false.
   bool consistent = true;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;

@@ -1,83 +1,157 @@
 #include "rsm/delivery_log.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace caesar::rsm {
 
+void DeliveryLog::truncate(std::size_t n) {
+  if (n >= sequence_.size()) return;
+  drop_order();
+  sequence_.resize(n);
+  // touches_ is in delivery order, so the dropped deliveries' entries are
+  // exactly its tail.
+  touches_.erase(std::ranges::partition_point(
+                     touches_, [n](const Touch& t) { return t.at < n; }),
+                 touches_.end());
+}
+
+void DeliveryLog::reset_trimmed() {
+  drop_order();
+  sequence_.clear();
+  touches_.clear();
+  trimmed_ = true;
+}
+
+std::span<const CmdId> DeliveryLog::key_sequence(Key k) const {
+  build_order();
+  const auto it = std::ranges::lower_bound(runs_, k, {}, &Run::key);
+  if (it == runs_.end() || it->key != k) return {};
+  return ids_of(*it);
+}
+
+void DeliveryLog::sort_order() const {
+  std::vector<Touch> sorted = touches_;
+  std::ranges::sort(sorted, [](const Touch& x, const Touch& y) {
+    return x.key != y.key ? x.key < y.key : x.at < y.at;
+  });
+  key_ids_.resize(sorted.size());
+  runs_.clear();
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    if (runs_.empty() || runs_.back().key != sorted[i].key) {
+      if (!runs_.empty()) runs_.back().end = i;
+      runs_.push_back({sorted[i].key, i, sorted.size()});
+    }
+    key_ids_[i] = sequence_[sorted[i].at];
+  }
+  ordered_ = true;
+}
+
 namespace {
 
-/// Checks that the elements common to `x` and `y` appear in the same order.
-bool common_subsequence_ordered(const std::vector<CmdId>& x,
-                                const std::vector<CmdId>& y) {
-  std::unordered_set<CmdId> in_x(x.begin(), x.end());
-  std::unordered_set<CmdId> in_y(y.begin(), y.end());
-  std::vector<CmdId> fx, fy;
-  for (CmdId id : x)
-    if (in_y.count(id) != 0) fx.push_back(id);
-  for (CmdId id : y)
-    if (in_x.count(id) != 0) fy.push_back(id);
-  return fx == fy;
+using Ids = std::span<const CmdId>;
+
+/// Merge-join of two logs' key-sorted runs: calls f(key, a_ids, b_ids) for
+/// every key of `a` in ascending order, with `b_ids` empty when `b` never saw
+/// the key. Stops at, and returns false on, the first call that returns
+/// false.
+template <typename F>
+bool for_each_key_of(const DeliveryLog& a, const DeliveryLog& b, F f) {
+  const auto b_keys = b.per_key();
+  auto bi = b_keys.begin();
+  for (const auto& [key, ids] : a.per_key()) {
+    while (bi != b_keys.end() && (*bi).key < key) ++bi;
+    const bool shared = bi != b_keys.end() && (*bi).key == key;
+    if (!f(key, ids, shared ? (*bi).ids : Ids{})) return false;
+  }
+  return true;
+}
+
+/// Checks that the elements common to `x` and `y` appear in the same order:
+/// `x` filtered to the ids `y` holds equals `y` filtered to the ids `x`
+/// holds. Ids may repeat on either side.
+bool common_subsequence_ordered(Ids x, Ids y) {
+  // Every id of the shared prefix is on both sides, so both filtered
+  // sequences open with it; equal sequences end here.
+  const std::size_t p = static_cast<std::size_t>(
+      std::ranges::mismatch(x, y).in1 - x.begin());
+  const Ids tx = x.subspan(p);
+  const Ids ty = y.subspan(p);
+  if (tx.empty() && ty.empty()) return true;
+  // Past the prefix an id survives the filter when the other side holds it:
+  // in that side's tail or in the shared prefix.
+  std::vector<CmdId> sx(tx.begin(), tx.end());
+  std::vector<CmdId> sy(ty.begin(), ty.end());
+  std::ranges::sort(sx);
+  std::ranges::sort(sy);
+  std::vector<CmdId> in_prefix;  // tail ids the shared prefix also holds
+  for (CmdId id : x.first(p)) {
+    if (std::ranges::binary_search(sx, id) ||
+        std::ranges::binary_search(sy, id)) {
+      in_prefix.push_back(id);
+    }
+  }
+  std::ranges::sort(in_prefix);
+  auto kept = [&in_prefix](CmdId id, const std::vector<CmdId>& other_tail) {
+    return std::ranges::binary_search(other_tail, id) ||
+           std::ranges::binary_search(in_prefix, id);
+  };
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (;;) {
+    while (i < tx.size() && !kept(tx[i], sy)) ++i;
+    while (j < ty.size() && !kept(ty[j], sx)) ++j;
+    if (i == tx.size() || j == ty.size()) {
+      return i == tx.size() && j == ty.size();
+    }
+    if (tx[i++] != ty[j++]) return false;
+  }
 }
 
 }  // namespace
 
 bool consistent_key_orders(const DeliveryLog& a, const DeliveryLog& b) {
-  for (const auto& [key, seq_a] : a.per_key()) {
-    const auto& seq_b = b.key_sequence(key);
-    if (seq_b.empty()) continue;
-    if (!common_subsequence_ordered(seq_a, seq_b)) return false;
-  }
-  return true;
+  return for_each_key_of(a, b, [](Key, Ids x, Ids y) {
+    return y.empty() || common_subsequence_ordered(x, y);
+  });
 }
 
 bool prefix_consistent_key_orders(const DeliveryLog& a, const DeliveryLog& b,
                                   std::string* why) {
-  // Iterate the union of keys: a key only one side has seen is trivially
-  // prefix-consistent (empty prefix), so only shared keys need comparing.
-  for (const auto& [key, seq_a] : a.per_key()) {
-    const auto& seq_b = b.key_sequence(key);
-    const std::size_t common = std::min(seq_a.size(), seq_b.size());
-    for (std::size_t i = 0; i < common; ++i) {
-      if (seq_a[i] != seq_b[i]) {
-        if (why != nullptr) {
-          *why = "key " + std::to_string(key) + " diverges at position " +
-                 std::to_string(i) + ": " + cmd_id_str(seq_a[i]) + " vs " +
-                 cmd_id_str(seq_b[i]);
-        }
-        return false;
-      }
+  // A key only `b` has seen is trivially prefix-consistent (empty prefix),
+  // so walking `a`'s keys covers every shared one.
+  return for_each_key_of(a, b, [why](Key key, Ids x, Ids y) {
+    const auto [xi, yi] = std::ranges::mismatch(x, y);
+    if (xi == x.end() || yi == y.end()) return true;
+    if (why != nullptr) {
+      *why = "key " + std::to_string(key) + " diverges at position " +
+             std::to_string(xi - x.begin()) + ": " + cmd_id_str(*xi) +
+             " vs " + cmd_id_str(*yi);
     }
-  }
-  return true;
+    return false;
+  });
 }
 
 bool suffix_consistent_key_orders(const DeliveryLog& full,
                                   const DeliveryLog& trimmed,
                                   std::string* why) {
-  for (const auto& [key, seq_t] : trimmed.per_key()) {
-    const auto& seq_f = full.key_sequence(key);
-    if (seq_t.size() > seq_f.size()) {
+  return for_each_key_of(trimmed, full, [why](Key key, Ids t, Ids f) {
+    if (t.size() > f.size()) {
       if (why != nullptr) {
         *why = "key " + std::to_string(key) + ": trimmed log has " +
-               std::to_string(seq_t.size()) + " deliveries but full log only " +
-               std::to_string(seq_f.size());
+               std::to_string(t.size()) + " deliveries but full log only " +
+               std::to_string(f.size());
       }
       return false;
     }
-    const std::size_t off = seq_f.size() - seq_t.size();
-    for (std::size_t i = 0; i < seq_t.size(); ++i) {
-      if (seq_t[i] != seq_f[off + i]) {
-        if (why != nullptr) {
-          *why = "key " + std::to_string(key) + " suffix diverges at position " +
-                 std::to_string(i) + ": " + cmd_id_str(seq_t[i]) + " vs " +
-                 cmd_id_str(seq_f[off + i]);
-        }
-        return false;
-      }
+    const auto [ti, fi] = std::ranges::mismatch(t, f.last(t.size()));
+    if (ti == t.end()) return true;
+    if (why != nullptr) {
+      *why = "key " + std::to_string(key) + " suffix diverges at position " +
+             std::to_string(ti - t.begin()) + ": " + cmd_id_str(*ti) + " vs " +
+             cmd_id_str(*fi);
     }
-  }
-  return true;
+    return false;
+  });
 }
 
 }  // namespace caesar::rsm

@@ -1,13 +1,24 @@
 // Records the order in which a node delivered (decided) commands.
 //
-// Used by tests to check the Generalized Consensus consistency property:
-// for every key, all nodes must deliver the commands touching that key in
-// the same relative order (non-conflicting commands may be permuted).
+// Used by the consistency oracle and the tests to check the Generalized
+// Consensus consistency property: for every key, all nodes must deliver the
+// commands touching that key in the same relative order (non-conflicting
+// commands may be permuted).
+//
+// Recording is on every replica's delivery path, so the record is flat and
+// append-only: the delivery sequence plus one {key, delivery index} entry per
+// op, with no hashing. The per-key view is built on first use by one sort of
+// those entries (key first, then delivery index, so each key keeps its
+// delivery order): one key-sorted id array with a run per key. Any mutation
+// drops it. The view is held as offsets, so a copied or moved log never
+// points into another log's arrays.
 #pragma once
 
+#include <cstddef>
+#include <ranges>
+#include <span>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "rsm/command.h"
@@ -16,57 +27,80 @@ namespace caesar::rsm {
 
 class DeliveryLog {
  public:
+  /// One key and the ids of the commands that touched it, in delivery order.
+  /// `ids` points into the log and lives until the log's next mutation.
+  struct KeyIds {
+    Key key;
+    std::span<const CmdId> ids;
+  };
+
   void record(const Command& cmd) {
+    drop_order();
+    for (const Op& op : cmd.ops) touches_.push_back({op.key, sequence_.size()});
     sequence_.push_back(cmd.id);
-    for (const Op& op : cmd.ops) per_key_[op.key].push_back(cmd.id);
   }
 
   /// Drops every record after the first `n` deliveries. Models a restart
   /// from disk: the node's observable history shrinks back to the durable
   /// prefix, and re-deliveries after replay re-record from there.
-  void truncate(std::size_t n) {
-    if (n >= sequence_.size()) return;
-    std::unordered_set<CmdId> dropped(sequence_.begin() +
-                                          static_cast<std::ptrdiff_t>(n),
-                                      sequence_.end());
-    sequence_.resize(n);
-    for (auto it = per_key_.begin(); it != per_key_.end();) {
-      auto& v = it->second;
-      while (!v.empty() && dropped.count(v.back()) != 0) v.pop_back();
-      it = v.empty() ? per_key_.erase(it) : std::next(it);
-    }
-  }
+  void truncate(std::size_t n);
 
   /// Clears the log and marks it trimmed: this node installed a store
   /// snapshot, so its recorded history starts mid-stream. The consistency
   /// oracle switches from prefix to suffix semantics for trimmed logs.
-  void reset_trimmed() {
-    sequence_.clear();
-    per_key_.clear();
-    trimmed_ = true;
-  }
+  void reset_trimmed();
 
   bool trimmed() const { return trimmed_; }
 
   /// Full delivery order on this node.
   const std::vector<CmdId>& sequence() const { return sequence_; }
 
-  /// Delivery order restricted to commands touching `k`.
-  const std::vector<CmdId>& key_sequence(Key k) const {
-    static const std::vector<CmdId> kEmpty;
-    auto it = per_key_.find(k);
-    return it == per_key_.end() ? kEmpty : it->second;
-  }
+  /// Delivery order restricted to commands touching `k`; empty for a key
+  /// this log never saw.
+  std::span<const CmdId> key_sequence(Key k) const;
 
-  const std::unordered_map<Key, std::vector<CmdId>>& per_key() const {
-    return per_key_;
+  /// Every key this log has seen, in ascending key order, as KeyIds.
+  auto per_key() const {
+    build_order();
+    return std::views::transform(std::as_const(runs_), [this](const Run& r) {
+      return KeyIds{r.key, ids_of(r)};
+    });
   }
 
   std::size_t size() const { return sequence_.size(); }
 
  private:
+  /// Delivery number `at` (an index into sequence_) touched `key`.
+  struct Touch {
+    Key key;
+    std::size_t at;
+  };
+  /// key_ids_[begin, end) is `key`'s delivery order.
+  struct Run {
+    Key key;
+    std::size_t begin;
+    std::size_t end;
+  };
+
+  std::span<const CmdId> ids_of(const Run& r) const {
+    return std::span<const CmdId>(key_ids_).subspan(r.begin, r.end - r.begin);
+  }
+  void build_order() const {
+    if (!ordered_) sort_order();
+  }
+  void sort_order() const;
+  void drop_order() {
+    ordered_ = false;
+    key_ids_.clear();
+    runs_.clear();
+  }
+
   std::vector<CmdId> sequence_;
-  std::unordered_map<Key, std::vector<CmdId>> per_key_;
+  std::vector<Touch> touches_;  // in delivery order
+  // The per-key view, valid while ordered_.
+  mutable std::vector<CmdId> key_ids_;
+  mutable std::vector<Run> runs_;
+  mutable bool ordered_ = false;
   bool trimmed_ = false;
 };
 
@@ -79,8 +113,8 @@ bool consistent_key_orders(const DeliveryLog& a, const DeliveryLog& b);
 /// must be a *prefix* of the longer. Rules out the gap a missing catch-up
 /// leaves behind (a rejoined node resuming delivery with missed commands
 /// omitted from the middle), which the common-relative-order check cannot
-/// see. On failure fills `why` (when non-null) with the first offending key
-/// and position.
+/// see. On failure fills `why` (when non-null) with the smallest offending
+/// key and its position.
 bool prefix_consistent_key_orders(const DeliveryLog& a, const DeliveryLog& b,
                                   std::string* why = nullptr);
 
@@ -88,7 +122,8 @@ bool prefix_consistent_key_orders(const DeliveryLog& a, const DeliveryLog& b,
 /// the trimmed log has seen, its per-key sequence must be a contiguous
 /// *suffix* of the full log's — the trimmed node joined mid-stream via a
 /// store snapshot and must have delivered everything after its join point in
-/// the cluster order, with nothing missing from the middle or end.
+/// the cluster order, with nothing missing from the middle or end. On
+/// failure fills `why` (when non-null) with the smallest offending key.
 bool suffix_consistent_key_orders(const DeliveryLog& full,
                                   const DeliveryLog& trimmed,
                                   std::string* why = nullptr);

@@ -141,7 +141,7 @@ TEST(EPaxosTest, MutualDependenciesDeliverInSeqThenIdOrder) {
     }
     std::vector<std::map<CmdId, std::size_t>> position(5);
     for (NodeId i = 0; i < 5; ++i) {
-      const std::vector<CmdId>& order = f.logs[i].key_sequence(1);
+      const auto order = f.logs[i].key_sequence(1);
       for (std::size_t p = 0; p < order.size(); ++p) position[i][order[p]] = p;
       ASSERT_EQ(position[i].size(), 100u) << "seed " << seed << " node " << i;
     }
@@ -198,10 +198,14 @@ TEST(EPaxosTest, ExecutionFollowsDependencyOrder) {
     });
   }
   f.sim.run();
-  const auto& seq0 = f.logs[0].key_sequence(3);
+  const auto key3 = [&f](NodeId i) {
+    const auto ids = f.logs[i].key_sequence(3);
+    return std::vector<CmdId>(ids.begin(), ids.end());
+  };
+  const std::vector<CmdId> seq0 = key3(0);
   ASSERT_EQ(seq0.size(), 5u);
   for (NodeId i = 1; i < 5; ++i) {
-    EXPECT_EQ(f.logs[i].key_sequence(3), seq0);
+    EXPECT_EQ(key3(i), seq0);
   }
   // Submission order: origins 0,1,2,3,4.
   for (std::size_t i = 0; i < 5; ++i) {
