@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 namespace caesar::wl {
 
@@ -317,11 +318,11 @@ void ClientPool::on_node_crashed(NodeId node) {
   // Open-loop requests routed to the crashed site died with its queue; drop
   // their in-flight records so the map does not grow without bound across
   // repeated faults (open loop never retries — the arrival was lost).
-  std::vector<NodeId> freed_slots;
+  std::vector<std::pair<ReqId, NodeId>> freed_slots;  // request, arrival site
   for (auto it = pending_.begin(); it != pending_.end();) {
     if (it->second.client == kOpenLoopClient && it->second.site == node) {
       if (it->second.arrival != kNoNode) {
-        freed_slots.push_back(it->second.arrival);
+        freed_slots.emplace_back(it->first, it->second.arrival);
       }
       it = pending_.erase(it);
     } else {
@@ -329,8 +330,11 @@ void ClientPool::on_node_crashed(NodeId node) {
     }
   }
   // Release after the sweep: draining a deferred arrival inserts into
-  // pending_, which would invalidate the iterator above.
-  for (NodeId site : freed_slots) release_open_slot(site);
+  // pending_, which would invalidate the iterator above. A release can admit
+  // deferred arrivals, which draw from the shared RNG, so release in request
+  // order, never in hash-map order.
+  std::sort(freed_slots.begin(), freed_slots.end());
+  for (const auto& [req, site] : freed_slots) release_open_slot(site);
 }
 
 void ClientPool::on_node_recovered(NodeId node) {
