@@ -1,6 +1,8 @@
 #include "rsm/delivery_log.h"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 namespace caesar::rsm {
 
@@ -30,16 +32,33 @@ std::span<const CmdId> DeliveryLog::key_sequence(Key k) const {
 }
 
 void DeliveryLog::sort_order() const {
+  // LSD radix sort of the touches by key, a byte per pass. Each pass is
+  // stable, so every key keeps its delivery order; a byte that all keys
+  // share moves nothing and is skipped.
+  const std::size_t n = touches_.size();
+  std::array<std::array<std::size_t, 256>, sizeof(Key)> counts{};
+  for (const Touch& t : touches_) {
+    for (std::size_t b = 0; b < sizeof(Key); ++b) {
+      ++counts[b][(t.key >> (8 * b)) & 0xFF];
+    }
+  }
   std::vector<Touch> sorted = touches_;
-  std::ranges::sort(sorted, [](const Touch& x, const Touch& y) {
-    return x.key != y.key ? x.key < y.key : x.at < y.at;
-  });
-  key_ids_.resize(sorted.size());
+  std::vector<Touch> scratch;
+  for (std::size_t b = 0; b < sizeof(Key) && n > 0; ++b) {
+    std::array<std::size_t, 256>& next = counts[b];
+    if (next[(sorted[0].key >> (8 * b)) & 0xFF] == n) continue;
+    std::size_t at = 0;
+    for (std::size_t& c : next) at += std::exchange(c, at);
+    scratch.resize(n);
+    for (const Touch& t : sorted) scratch[next[(t.key >> (8 * b)) & 0xFF]++] = t;
+    sorted.swap(scratch);
+  }
+  key_ids_.resize(n);
   runs_.clear();
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (runs_.empty() || runs_.back().key != sorted[i].key) {
       if (!runs_.empty()) runs_.back().end = i;
-      runs_.push_back({sorted[i].key, i, sorted.size()});
+      runs_.push_back({sorted[i].key, i, n});
     }
     key_ids_[i] = sequence_[sorted[i].at];
   }

@@ -103,18 +103,26 @@ TEST(DeliveryLogTest, DivergenceHiddenByGapsStillDetected) {
 }
 
 TEST(DeliveryLogTest, PerKeyIsKeySortedAndComplete) {
+  // Keys that differ only in a high byte, only in a low byte, or in both.
+  constexpr Key kHigh = (Key{1} << 40) + 7;
+  constexpr Key kMax = ~Key{0};
   DeliveryLog log;
   log.record(cmd(1, {42}));
   log.record(cmd(2, {0, 42}));  // composite, key 0 included
-  log.record(cmd(3, {7}));
+  log.record(cmd(3, {kHigh, 7}));
   log.record(cmd(4, {0}));
-  log.record(cmd(5, {42, 7, 9}));
+  log.record(cmd(5, {42, 7, 9, kMax}));
+  log.record(cmd(6, {kHigh}));
   EXPECT_EQ(key_orders(log), (KeyOrders{{0, {2, 4}},
                                         {7, {3, 5}},
                                         {9, {5}},
-                                        {42, {1, 2, 5}}}));
+                                        {42, {1, 2, 5}},
+                                        {kHigh, {3, 6}},
+                                        {kMax, {5}}}));
   EXPECT_EQ(ids(log.key_sequence(0)), (std::vector<CmdId>{2, 4}));
-  EXPECT_EQ(log.sequence(), (std::vector<CmdId>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(ids(log.key_sequence(kHigh)), (std::vector<CmdId>{3, 6}));
+  EXPECT_TRUE(log.key_sequence(kHigh - 7).empty());
+  EXPECT_EQ(log.sequence(), (std::vector<CmdId>{1, 2, 3, 4, 5, 6}));
 }
 
 TEST(DeliveryLogTest, RecordAfterBuildRefreshesPerKey) {
