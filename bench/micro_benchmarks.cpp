@@ -1,7 +1,8 @@
 // Google-benchmark micro-benchmarks for the hot data structures the
 // protocols lean on: serialization, the event queue (slab schedule/cancel/
 // run), IdSet unions, the per-key conflict index, and end to end the CAESAR
-// wait-condition wakeup path and EPaxos's dependency-graph execution.
+// wait-condition wakeup path and EPaxos's dependency-graph execution, and the
+// replicas' delivery logs: recording, and the end-of-run key-order checks.
 //
 // `--json <file>` (or `--json=<file>`) writes the google-benchmark JSON
 // document to <file>; tools/bench_diff.py compares two such documents and
@@ -21,9 +22,11 @@
 #include "net/serialization.h"
 #include "net/topology.h"
 #include "rsm/command.h"
+#include "rsm/delivery_log.h"
 #include "runtime/cluster.h"
 #include "sim/simulator.h"
 #include "stats/latency_stats.h"
+#include "workload/key_chooser.h"
 
 namespace {
 
@@ -332,6 +335,73 @@ void BM_TimestampClock(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TimestampClock);
+
+/// `n` one-op commands in a delivery order, keyed by the paper's conflict
+/// model as caesar-geo-c30 draws them: 2,000 clients (400 per site), 30% of
+/// commands on a shared pool of 100 keys, the rest on each client's private
+/// keys.
+std::vector<rsm::Command> paper_commands(std::size_t n) {
+  constexpr std::uint64_t kClients = 2000;
+  std::vector<wl::KeyChooser> clients;
+  for (std::uint64_t c = 0; c < kClients; ++c) {
+    clients.emplace_back(wl::KeyDistConfig{}, 0.30, 100, c);
+  }
+  Rng rng(21);
+  std::vector<rsm::Command> cmds(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t c = rng.uniform_int(kClients);
+    cmds[i].id = make_cmd_id(static_cast<NodeId>(c % 5), i + 1);
+    cmds[i].ops.push_back(rsm::Op{clients[c].next(rng), cmds[i].id, i});
+  }
+  return cmds;
+}
+
+void BM_DeliveryLogRecord(benchmark::State& state) {
+  // One replica's delivery hook into its log, for a whole run's commands.
+  const std::vector<rsm::Command> cmds =
+      paper_commands(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    rsm::DeliveryLog log;
+    for (const rsm::Command& c : cmds) log.record(c);
+    benchmark::DoNotOptimize(log.sequence().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_DeliveryLogRecord)->Arg(100'000)->Unit(benchmark::kMillisecond);
+
+void BM_KeyOrderChecks(benchmark::State& state) {
+  // The end-of-run check on five replicas' logs of 100k commands each: the
+  // per-key order is built (where the log builds it lazily), then every
+  // replica pair is checked for common order and per-key prefixes. Each
+  // replica stops at a different point, as a run cut at its duration does,
+  // so the hot keys' sequences differ in their tails.
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const std::vector<rsm::Command> cmds = paper_commands(n + 200);
+  std::vector<rsm::DeliveryLog> fresh(5);
+  for (std::size_t r = 0; r < fresh.size(); ++r) {
+    for (std::size_t i = 0; i < n + 40 * r; ++i) fresh[r].record(cmds[i]);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<rsm::DeliveryLog> logs = fresh;
+    state.ResumeTiming();
+    bool ok = true;
+    for (const rsm::DeliveryLog& log : logs) {
+      benchmark::DoNotOptimize(log.key_sequence(0).size());
+    }
+    for (std::size_t i = 0; i < logs.size(); ++i) {
+      for (std::size_t j = i + 1; j < logs.size(); ++j) {
+        ok = rsm::consistent_key_orders(logs[i], logs[j]) && ok;
+        ok = rsm::prefix_consistent_key_orders(logs[i], logs[j]) && ok;
+      }
+    }
+    if (!ok) state.SkipWithError("consistent logs failed a key-order check");
+    benchmark::DoNotOptimize(ok);
+  }
+  state.SetItemsProcessed(state.iterations() * 5 * state.range(0));
+}
+BENCHMARK(BM_KeyOrderChecks)->Arg(100'000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

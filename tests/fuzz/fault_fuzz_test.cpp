@@ -12,12 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "common/rng.h"
+#include "fuzz/seed_count.h"
 #include "harness/oracle.h"
 #include "harness/scenario.h"
 
@@ -175,45 +175,36 @@ void run_fuzz(ProtocolKind kind, std::uint64_t seed) {
   }
 }
 
-/// Seeds per protocol: 14 by default (~50 schedules across the four suites),
-/// raised via CAESAR_FUZZ_SEEDS for the report-only CI exploration job.
-std::uint64_t seed_count(std::uint64_t dflt) {
-  const char* env = std::getenv("CAESAR_FUZZ_SEEDS");
-  if (env == nullptr || *env == '\0') return dflt;
-  const long long v = std::atoll(env);
-  return v > 0 ? static_cast<std::uint64_t>(v) : dflt;
-}
-
 TEST(FaultScheduleFuzz, Mencius) {
-  for (std::uint64_t seed = 1; seed <= seed_count(14); ++seed) {
+  for (std::uint64_t seed = 1; seed <= fuzz_seed_count(14); ++seed) {
     run_fuzz(ProtocolKind::kMencius, seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 TEST(FaultScheduleFuzz, MultiPaxos) {
-  for (std::uint64_t seed = 1; seed <= seed_count(14); ++seed) {
+  for (std::uint64_t seed = 1; seed <= fuzz_seed_count(14); ++seed) {
     run_fuzz(ProtocolKind::kMultiPaxos, seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 TEST(FaultScheduleFuzz, ClockRsm) {
-  for (std::uint64_t seed = 1; seed <= seed_count(14); ++seed) {
+  for (std::uint64_t seed = 1; seed <= fuzz_seed_count(14); ++seed) {
     run_fuzz(ProtocolKind::kClockRsm, seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 TEST(FaultScheduleFuzz, Caesar) {
-  for (std::uint64_t seed = 1; seed <= seed_count(12); ++seed) {
+  for (std::uint64_t seed = 1; seed <= fuzz_seed_count(12); ++seed) {
     run_fuzz(ProtocolKind::kCaesar, seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
 TEST(FaultScheduleFuzz, EPaxos) {
-  for (std::uint64_t seed = 1; seed <= seed_count(12); ++seed) {
+  for (std::uint64_t seed = 1; seed <= fuzz_seed_count(12); ++seed) {
     run_fuzz(ProtocolKind::kEPaxos, seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
