@@ -7,6 +7,8 @@
 // grows; M2Paxos stops scaling after ~1000 clients due to forwarding.
 #include <algorithm>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "harness/report.h"
 #include "harness/scenario.h"
@@ -50,20 +52,36 @@ int main(int argc, char** argv) {
 
   Table t({"clients", "Caesar(ms)", "EPaxos(ms)", "M2Paxos(ms)",
            "Caesar(ktps)", "EPaxos(ktps)", "M2Paxos(ktps)"});
+  std::vector<std::string> inconsistent;
   for (std::uint32_t clients : client_counts) {
-    RunReport cs = run(ProtocolKind::kCaesar, clients);
-    RunReport ep = run(ProtocolKind::kEPaxos, clients);
-    RunReport m2 = run(ProtocolKind::kM2Paxos, clients);
-    json.add("caesar/clients=" + std::to_string(clients), cs);
-    json.add("epaxos/clients=" + std::to_string(clients), ep);
-    json.add("m2paxos/clients=" + std::to_string(clients), m2);
-    t.add_row({std::to_string(clients), Table::ms(cs.total_latency.mean()),
-               Table::ms(ep.total_latency.mean()),
-               Table::ms(m2.total_latency.mean()),
-               Table::num(cs.throughput_tps / 1000.0, 1),
-               Table::num(ep.throughput_tps / 1000.0, 1),
-               Table::num(m2.throughput_tps / 1000.0, 1)});
+    const RunReport cs = run(ProtocolKind::kCaesar, clients);
+    const RunReport ep = run(ProtocolKind::kEPaxos, clients);
+    const RunReport m2 = run(ProtocolKind::kM2Paxos, clients);
+    // Adds the run to the JSON document; returns the mark its cells carry:
+    // "!" when its RunReport::consistent reads false.
+    auto mark = [&](const std::string& protocol, const RunReport& r) {
+      const std::string label = protocol + "/clients=" + std::to_string(clients);
+      json.add(label, r);
+      if (r.consistent) return std::string();
+      inconsistent.push_back(label);
+      return std::string("!");
+    };
+    const std::string mc = mark("caesar", cs);
+    const std::string me = mark("epaxos", ep);
+    const std::string mm = mark("m2paxos", m2);
+    t.add_row({std::to_string(clients), Table::ms(cs.total_latency.mean()) + mc,
+               Table::ms(ep.total_latency.mean()) + me,
+               Table::ms(m2.total_latency.mean()) + mm,
+               Table::num(cs.throughput_tps / 1000.0, 1) + mc,
+               Table::num(ep.throughput_tps / 1000.0, 1) + me,
+               Table::num(m2.throughput_tps / 1000.0, 1) + mm});
   }
   t.print();
-  return json.write() ? 0 : 1;
+  const bool written = json.write();
+  if (!inconsistent.empty()) {
+    std::cout << "\nNOT CONSISTENT ('!' above; RunReport::consistent false):";
+    for (const std::string& label : inconsistent) std::cout << " " << label;
+    std::cout << "\n";
+  }
+  return written && inconsistent.empty() ? 0 : 1;
 }

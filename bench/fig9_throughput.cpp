@@ -8,6 +8,8 @@
 // while EPaxos/M2Paxos lose 24%/45%; M2Paxos best at 100%.
 // Batching on: CAESAR sustains ~3x EPaxos up to 10%; EPaxos best at >=50%.
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "harness/report.h"
 #include "harness/scenario.h"
@@ -21,8 +23,13 @@ using harness::RunReport;
 using harness::ScenarioBuilder;
 using harness::Table;
 
-RunReport run(JsonReportFile& json, ProtocolKind kind, double conflict,
-              bool batching, NodeId mpaxos_leader = 3) {
+/// Labels of the runs whose RunReport::consistent reads false.
+std::vector<std::string> inconsistent;
+
+/// Runs one point and adds it to the JSON document; returns its throughput
+/// cell (1000 x cmds/s), marked "!" when the run is not consistent.
+std::string run(JsonReportFile& json, ProtocolKind kind, double conflict,
+                bool batching, NodeId mpaxos_leader = 3) {
   core::CaesarConfig caesar;
   caesar.gossip_interval_us = 100 * kMs;
   rt::NodeConfig node;
@@ -30,7 +37,7 @@ RunReport run(JsonReportFile& json, ProtocolKind kind, double conflict,
   node.batching = batching;
   node.batch_delay_us = 2 * kMs;
   node.batch_max_ops = 96;
-  RunReport r = harness::run_scenario(
+  const RunReport r = harness::run_scenario(
       ScenarioBuilder("fig9")
           .protocol(kind)
           .clients_per_site(800)  // saturating closed-loop pool
@@ -49,7 +56,12 @@ RunReport run(JsonReportFile& json, ProtocolKind kind, double conflict,
     label += "/leader=" + std::to_string(mpaxos_leader);
   }
   json.add(label, r);
-  return r;
+  std::string cell = Table::num(r.throughput_tps / 1000.0, 1);
+  if (!r.consistent) {
+    inconsistent.push_back(label);
+    cell += "!";
+  }
+  return cell;
 }
 
 void panel(JsonReportFile& json, bool batching) {
@@ -64,31 +76,16 @@ void panel(JsonReportFile& json, bool batching) {
   Table t(std::move(headers));
   for (double c : conflicts) {
     std::vector<std::string> row{Table::num(c * 100, 0)};
-    row.push_back(Table::num(
-        run(json, ProtocolKind::kCaesar, c, batching).throughput_tps / 1000.0,
-        1));
-    row.push_back(Table::num(
-        run(json, ProtocolKind::kEPaxos, c, batching).throughput_tps / 1000.0,
-        1));
-    row.push_back(Table::num(
-        run(json, ProtocolKind::kM2Paxos, c, batching).throughput_tps / 1000.0,
-        1));
+    row.push_back(run(json, ProtocolKind::kCaesar, c, batching));
+    row.push_back(run(json, ProtocolKind::kEPaxos, c, batching));
+    row.push_back(run(json, ProtocolKind::kM2Paxos, c, batching));
     if (!batching) {
       // Mencius and Multi-Paxos are conflict-oblivious; the paper plots them
       // as flat lines — measure once at 0% semantics regardless of c.
-      row.push_back(Table::num(
-          run(json, ProtocolKind::kMencius, c, batching).throughput_tps /
-              1000.0,
-          1));
+      row.push_back(run(json, ProtocolKind::kMencius, c, batching));
     }
-    row.push_back(Table::num(
-        run(json, ProtocolKind::kMultiPaxos, c, batching, 3).throughput_tps /
-            1000.0,
-        1));
-    row.push_back(Table::num(
-        run(json, ProtocolKind::kMultiPaxos, c, batching, 4).throughput_tps /
-            1000.0,
-        1));
+    row.push_back(run(json, ProtocolKind::kMultiPaxos, c, batching, 3));
+    row.push_back(run(json, ProtocolKind::kMultiPaxos, c, batching, 4));
     t.add_row(std::move(row));
   }
   t.print();
@@ -104,5 +101,11 @@ int main(int argc, char** argv) {
       "batch: CAESAR ~3x EPaxos at <=10%, EPaxos leads at >=50%");
   panel(json, /*batching=*/false);
   panel(json, /*batching=*/true);
-  return json.write() ? 0 : 1;
+  const bool written = json.write();
+  if (!inconsistent.empty()) {
+    std::cout << "\nNOT CONSISTENT ('!' above; RunReport::consistent false):";
+    for (const std::string& label : inconsistent) std::cout << " " << label;
+    std::cout << "\n";
+  }
+  return written && inconsistent.empty() ? 0 : 1;
 }
