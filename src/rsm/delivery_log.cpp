@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
 #include <utility>
 
 namespace caesar::rsm {
@@ -26,42 +29,52 @@ void DeliveryLog::reset_trimmed() {
 
 std::span<const CmdId> DeliveryLog::key_sequence(Key k) const {
   build_order();
-  const auto it = std::ranges::lower_bound(runs_, k, {}, &Run::key);
-  if (it == runs_.end() || it->key != k) return {};
-  return ids_of(*it);
+  const auto it = std::ranges::lower_bound(run_keys_, k);
+  if (it == run_keys_.end() || *it != k) return {};
+  return run(static_cast<std::size_t>(it - run_keys_.begin())).ids;
 }
 
 void DeliveryLog::sort_order() const {
-  // LSD radix sort of the touches by key, a byte per pass. Each pass is
-  // stable, so every key keeps its delivery order; a byte that all keys
-  // share moves nothing and is skipped.
+  // LSD radix sort of the touches by key, a byte per pass, moving 32-bit
+  // indices rather than the touches. Each pass is stable, so every key
+  // keeps its delivery order; a byte that all keys share moves nothing and
+  // is skipped.
   const std::size_t n = touches_.size();
-  std::array<std::array<std::size_t, 256>, sizeof(Key)> counts{};
+  if (n > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("DeliveryLog: too many entries to order");
+  }
+  std::array<std::array<std::uint32_t, 256>, sizeof(Key)> counts{};
   for (const Touch& t : touches_) {
     for (std::size_t b = 0; b < sizeof(Key); ++b) {
       ++counts[b][(t.key >> (8 * b)) & 0xFF];
     }
   }
-  std::vector<Touch> sorted = touches_;
-  std::vector<Touch> scratch;
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::vector<std::uint32_t> scratch;
   for (std::size_t b = 0; b < sizeof(Key) && n > 0; ++b) {
-    std::array<std::size_t, 256>& next = counts[b];
-    if (next[(sorted[0].key >> (8 * b)) & 0xFF] == n) continue;
-    std::size_t at = 0;
-    for (std::size_t& c : next) at += std::exchange(c, at);
+    std::array<std::uint32_t, 256>& next = counts[b];
+    if (next[(touches_[0].key >> (8 * b)) & 0xFF] == n) continue;
+    std::uint32_t at = 0;
+    for (std::uint32_t& c : next) at += std::exchange(c, at);
     scratch.resize(n);
-    for (const Touch& t : sorted) scratch[next[(t.key >> (8 * b)) & 0xFF]++] = t;
-    sorted.swap(scratch);
+    for (std::uint32_t i : order) {
+      scratch[next[(touches_[i].key >> (8 * b)) & 0xFF]++] = i;
+    }
+    order.swap(scratch);
   }
   key_ids_.resize(n);
-  runs_.clear();
+  run_keys_.clear();
+  run_ends_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (runs_.empty() || runs_.back().key != sorted[i].key) {
-      if (!runs_.empty()) runs_.back().end = i;
-      runs_.push_back({sorted[i].key, i, n});
+    const Touch& t = touches_[order[i]];
+    if (run_keys_.empty() || run_keys_.back() != t.key) {
+      if (!run_keys_.empty()) run_ends_.push_back(i);
+      run_keys_.push_back(t.key);
     }
-    key_ids_[i] = sequence_[sorted[i].at];
+    key_ids_[i] = sequence_[t.at];
   }
+  if (n > 0) run_ends_.push_back(n);
   ordered_ = true;
 }
 

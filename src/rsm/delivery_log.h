@@ -7,11 +7,11 @@
 //
 // Recording is on every replica's delivery path, so the record is flat and
 // append-only: the delivery sequence plus one {key, delivery index} entry per
-// op, with no hashing. The per-key view is built on first use by one sort of
-// those entries (key first, then delivery index, so each key keeps its
-// delivery order): one key-sorted id array with a run per key. Any mutation
-// drops it. The view is held as offsets, so a copied or moved log never
-// points into another log's arrays.
+// op, with no hashing. The per-key view is built on first use by one stable
+// radix sort of those entries by key, so each key keeps its delivery order:
+// one key-sorted id array with a run per key. Any mutation drops it. The
+// view is held as offsets, so a copied or moved log never points into
+// another log's arrays.
 #pragma once
 
 #include <cstddef>
@@ -62,9 +62,8 @@ class DeliveryLog {
   /// Every key this log has seen, in ascending key order, as KeyIds.
   auto per_key() const {
     build_order();
-    return std::views::transform(std::as_const(runs_), [this](const Run& r) {
-      return KeyIds{r.key, ids_of(r)};
-    });
+    return std::views::iota(std::size_t{0}, run_keys_.size()) |
+           std::views::transform([this](std::size_t r) { return run(r); });
   }
 
   std::size_t size() const { return sequence_.size(); }
@@ -75,15 +74,13 @@ class DeliveryLog {
     Key key;
     std::size_t at;
   };
-  /// key_ids_[begin, end) is `key`'s delivery order.
-  struct Run {
-    Key key;
-    std::size_t begin;
-    std::size_t end;
-  };
 
-  std::span<const CmdId> ids_of(const Run& r) const {
-    return std::span<const CmdId>(key_ids_).subspan(r.begin, r.end - r.begin);
+  /// The r-th key and its delivery order, key_ids_[run_ends_[r - 1],
+  /// run_ends_[r]).
+  KeyIds run(std::size_t r) const {
+    const std::size_t begin = r == 0 ? 0 : run_ends_[r - 1];
+    return {run_keys_[r], std::span<const CmdId>(key_ids_).subspan(
+                              begin, run_ends_[r] - begin)};
   }
   void build_order() const {
     if (!ordered_) sort_order();
@@ -92,14 +89,16 @@ class DeliveryLog {
   void drop_order() {
     ordered_ = false;
     key_ids_.clear();
-    runs_.clear();
+    run_keys_.clear();
+    run_ends_.clear();
   }
 
   std::vector<CmdId> sequence_;
   std::vector<Touch> touches_;  // in delivery order
   // The per-key view, valid while ordered_.
   mutable std::vector<CmdId> key_ids_;
-  mutable std::vector<Run> runs_;
+  mutable std::vector<Key> run_keys_;
+  mutable std::vector<std::size_t> run_ends_;
   mutable bool ordered_ = false;
   bool trimmed_ = false;
 };
