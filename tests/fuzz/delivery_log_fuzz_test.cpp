@@ -150,13 +150,14 @@ Command random_command(Rng& rng, CmdId id, const std::vector<Key>& keys) {
 std::vector<Command> cluster_order(Rng& rng, const std::vector<Key>& keys) {
   std::vector<Command> order;
   const std::uint64_t n = rng.uniform_int(40);
-  for (CmdId id = 1; id <= n; ++id) order.push_back(random_command(rng, id, keys));
+  for (CmdId id = 1; id <= n; ++id) {
+    order.push_back(random_command(rng, id, keys));
+  }
   return order;
 }
 
 Side make_side(Rng& rng, const std::vector<Command>& order,
-               const std::vector<Key>& keys,
-               CmdId& next_foreign) {
+               const std::vector<Key>& keys, CmdId& next_foreign) {
   std::vector<Command> mine = order;
   Side s;
   if (rng.bernoulli(0.25)) {  // joined mid-stream from a store snapshot

@@ -21,15 +21,14 @@ Command cmd(CmdId id, std::initializer_list<Key> keys) {
 
 std::vector<CmdId> ids(std::span<const CmdId> s) { return {s.begin(), s.end()}; }
 
+using KeyOrders = std::vector<std::pair<Key, std::vector<CmdId>>>;
+
 /// per_key() flattened to (key, ids) pairs, in the order it yields them.
-std::vector<std::pair<Key, std::vector<CmdId>>> key_orders(
-    const DeliveryLog& log) {
-  std::vector<std::pair<Key, std::vector<CmdId>>> out;
+KeyOrders key_orders(const DeliveryLog& log) {
+  KeyOrders out;
   for (const auto& [key, seq] : log.per_key()) out.emplace_back(key, ids(seq));
   return out;
 }
-
-using KeyOrders = std::vector<std::pair<Key, std::vector<CmdId>>>;
 
 TEST(DeliveryLogTest, RecordsSequenceAndPerKey) {
   DeliveryLog log;
