@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <limits>
 #include <numeric>
-#include <stdexcept>
 #include <utility>
 
 namespace caesar::rsm {
@@ -13,17 +11,19 @@ void DeliveryLog::truncate(std::size_t n) {
   if (n >= sequence_.size()) return;
   drop_order();
   sequence_.resize(n);
-  // touches_ is in delivery order, so the dropped deliveries' entries are
-  // exactly its tail.
-  touches_.erase(std::ranges::partition_point(
-                     touches_, [n](const Touch& t) { return t.at < n; }),
-                 touches_.end());
+  // Ops are in delivery order, so the dropped deliveries' ops are exactly
+  // the tail.
+  const std::size_t kept = static_cast<std::size_t>(
+      std::ranges::lower_bound(touch_at_, n) - touch_at_.begin());
+  touch_keys_.resize(kept);
+  touch_at_.resize(kept);
 }
 
 void DeliveryLog::reset_trimmed() {
   drop_order();
   sequence_.clear();
-  touches_.clear();
+  touch_keys_.clear();
+  touch_at_.clear();
   trimmed_ = true;
 }
 
@@ -35,18 +35,17 @@ std::span<const CmdId> DeliveryLog::key_sequence(Key k) const {
 }
 
 void DeliveryLog::sort_order() const {
-  // LSD radix sort of the touches by key, a byte per pass, moving 32-bit
-  // indices rather than the touches. Each pass is stable, so every key
-  // keeps its delivery order; a byte that all keys share moves nothing and
-  // is skipped.
-  const std::size_t n = touches_.size();
+  // LSD radix sort of the ops by key, a byte per pass, moving 32-bit op
+  // indices. Each pass is stable, so every key keeps its delivery order; a
+  // byte that all keys share moves nothing and is skipped.
+  const std::size_t n = touch_keys_.size();
   if (n > std::numeric_limits<std::uint32_t>::max()) {
     throw std::length_error("DeliveryLog: too many entries to order");
   }
   std::array<std::array<std::uint32_t, 256>, sizeof(Key)> counts{};
-  for (const Touch& t : touches_) {
+  for (Key k : touch_keys_) {
     for (std::size_t b = 0; b < sizeof(Key); ++b) {
-      ++counts[b][(t.key >> (8 * b)) & 0xFF];
+      ++counts[b][(k >> (8 * b)) & 0xFF];
     }
   }
   std::vector<std::uint32_t> order(n);
@@ -54,12 +53,12 @@ void DeliveryLog::sort_order() const {
   std::vector<std::uint32_t> scratch;
   for (std::size_t b = 0; b < sizeof(Key) && n > 0; ++b) {
     std::array<std::uint32_t, 256>& next = counts[b];
-    if (next[(touches_[0].key >> (8 * b)) & 0xFF] == n) continue;
+    if (next[(touch_keys_[0] >> (8 * b)) & 0xFF] == n) continue;
     std::uint32_t at = 0;
     for (std::uint32_t& c : next) at += std::exchange(c, at);
     scratch.resize(n);
     for (std::uint32_t i : order) {
-      scratch[next[(touches_[i].key >> (8 * b)) & 0xFF]++] = i;
+      scratch[next[(touch_keys_[i] >> (8 * b)) & 0xFF]++] = i;
     }
     order.swap(scratch);
   }
@@ -67,12 +66,12 @@ void DeliveryLog::sort_order() const {
   run_keys_.clear();
   run_ends_.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    const Touch& t = touches_[order[i]];
-    if (run_keys_.empty() || run_keys_.back() != t.key) {
+    const Key key = touch_keys_[order[i]];
+    if (run_keys_.empty() || run_keys_.back() != key) {
       if (!run_keys_.empty()) run_ends_.push_back(i);
-      run_keys_.push_back(t.key);
+      run_keys_.push_back(key);
     }
-    key_ids_[i] = sequence_[t.at];
+    key_ids_[i] = sequence_[touch_at_[order[i]]];
   }
   if (n > 0) run_ends_.push_back(n);
   ordered_ = true;

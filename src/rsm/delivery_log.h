@@ -6,8 +6,8 @@
 // commands may be permuted).
 //
 // Recording is on every replica's delivery path, so the record is flat and
-// append-only: the delivery sequence plus one {key, delivery index} entry per
-// op, with no hashing. The per-key view is built on first use by one stable
+// append-only: the delivery sequence plus, per op, its key and the index of
+// its delivery, with no hashing. The per-key view is built on first use by one stable
 // radix sort of those entries by key, so each key keeps its delivery order:
 // one key-sorted id array with a run per key. Any mutation drops it. The
 // view is held as offsets, so a copied or moved log never points into
@@ -15,10 +15,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <ranges>
 #include <span>
+#include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "rsm/command.h"
@@ -36,7 +38,14 @@ class DeliveryLog {
 
   void record(const Command& cmd) {
     drop_order();
-    for (const Op& op : cmd.ops) touches_.push_back({op.key, sequence_.size()});
+    if (sequence_.size() > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("DeliveryLog: too many deliveries");
+    }
+    const auto at = static_cast<std::uint32_t>(sequence_.size());
+    for (const Op& op : cmd.ops) {
+      touch_keys_.push_back(op.key);
+      touch_at_.push_back(at);
+    }
     sequence_.push_back(cmd.id);
   }
 
@@ -69,12 +78,6 @@ class DeliveryLog {
   std::size_t size() const { return sequence_.size(); }
 
  private:
-  /// Delivery number `at` (an index into sequence_) touched `key`.
-  struct Touch {
-    Key key;
-    std::size_t at;
-  };
-
   /// The r-th key and its delivery order, key_ids_[run_ends_[r - 1],
   /// run_ends_[r]).
   KeyIds run(std::size_t r) const {
@@ -94,7 +97,10 @@ class DeliveryLog {
   }
 
   std::vector<CmdId> sequence_;
-  std::vector<Touch> touches_;  // in delivery order
+  // Per op, in delivery order: its key, and its delivery's index into
+  // sequence_.
+  std::vector<Key> touch_keys_;
+  std::vector<std::uint32_t> touch_at_;
   // The per-key view, valid while ordered_.
   mutable std::vector<CmdId> key_ids_;
   mutable std::vector<Key> run_keys_;
