@@ -36,6 +36,8 @@ class DeliveryLog {
     std::span<const CmdId> ids;
   };
 
+  /// Appends one delivery. Throws std::length_error past 2^32 deliveries,
+  /// which a 32-bit delivery index cannot name.
   void record(const Command& cmd) {
     drop_order();
     if (sequence_.size() > std::numeric_limits<std::uint32_t>::max()) {
